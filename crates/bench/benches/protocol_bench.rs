@@ -2,7 +2,6 @@
 //! tallying/classification, certificate validation, the fallback view
 //! rules, the raw event scheduler, and a high-client-count cluster run.
 
-use basil::RuntimeMode;
 use basil_bench::{basil_default, run_basil, RunParams, Workload};
 use basil_common::{ClientId, Duration, NodeId, ReplicaId, ShardConfig, ShardId, SimTime, TxId};
 use basil_core::certs::{validate_commit_cert, CommitCert, ShardVotes};
@@ -201,7 +200,6 @@ fn bench_cluster_high_clients(c: &mut Criterion) {
         warmup: Duration::from_millis(50),
         window: Duration::from_millis(150),
         seed: 42,
-        runtime: RuntimeMode::Serial,
     };
     let workload = Workload::RwUniform {
         reads: 2,
@@ -210,15 +208,6 @@ fn bench_cluster_high_clients(c: &mut Criterion) {
     group.bench_function("basil_rwu_96clients", |b| {
         b.iter(|| run_basil(basil_default(1), workload, &params))
     });
-    // The same deployment on the thread-sharded runtime (identical
-    // simulated results — tests/parallel_determinism.rs — so the delta is
-    // pure runtime overhead/speedup).
-    for workers in [2usize, 4] {
-        let par = params.clone().with_runtime(RuntimeMode::Parallel(workers));
-        group.bench_function(&format!("basil_rwu_96clients_par{workers}"), move |b| {
-            b.iter(|| run_basil(basil_default(1), workload, &par))
-        });
-    }
     // The contended counterpart (YCSB-T Zipf 0.9): hot keys concentrate the
     // per-key version arrays and exercise the store's slow-path scans, so a
     // regression in the conflict-window checks shows up here first.

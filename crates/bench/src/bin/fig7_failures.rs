@@ -81,7 +81,7 @@ fn main() {
                     expect: None,
                 };
                 spec.validate().expect("figure cell spec is well-formed");
-                let outcome = run_basil_spec(&spec, p.runtime);
+                let outcome = run_basil_spec(&spec);
                 let per_client = outcome.report.throughput_per_correct_client;
                 if baseline.is_none() {
                     baseline = Some(per_client.max(1e-9));

@@ -47,7 +47,7 @@ use basil::workloads::retwis::RetwisGenerator;
 use basil::workloads::smallbank::SmallbankGenerator;
 use basil::workloads::tpcc::TpccGenerator;
 use basil::workloads::ycsb::YcsbGenerator;
-use basil::{BasilConfig, ClientId, Duration, RunReport, RuntimeMode, SystemConfig, TxGenerator};
+use basil::{BasilConfig, ClientId, Duration, RunReport, SystemConfig, TxGenerator};
 use basil_core::byzantine::FaultProfile;
 
 /// The workloads used across the evaluation.
@@ -137,9 +137,6 @@ pub struct RunParams {
     pub window: Duration,
     /// Simulation seed.
     pub seed: u64,
-    /// Event-loop runtime (serial oracle or thread-sharded parallel).
-    /// Simulated results are identical either way; only wall-clock differs.
-    pub runtime: RuntimeMode,
 }
 
 impl Default for RunParams {
@@ -149,7 +146,6 @@ impl Default for RunParams {
             warmup: Duration::from_millis(150),
             window: Duration::from_millis(400),
             seed: 42,
-            runtime: runtime_from_env(),
         }
     }
 }
@@ -163,7 +159,6 @@ impl RunParams {
             warmup: Duration::from_millis(50),
             window: Duration::from_millis(150),
             seed: 42,
-            runtime: runtime_from_env(),
         }
     }
 
@@ -171,32 +166,6 @@ impl RunParams {
     pub fn with_clients(mut self, clients: u32) -> Self {
         self.clients = clients;
         self
-    }
-
-    /// Overrides the event-loop runtime.
-    pub fn with_runtime(mut self, runtime: RuntimeMode) -> Self {
-        self.runtime = runtime;
-        self
-    }
-}
-
-/// The runtime selected by the `BASIL_WORKERS` environment variable: unset,
-/// empty, or `0` auto-size from the host's cores
-/// ([`basil_common::auto_workers`], capped at 8 — a single-core host stays
-/// on the serial oracle); `1` forces the serial oracle; `N > 1` means
-/// `RuntimeMode::Parallel(N)`. The figure binaries and the default
-/// [`RunParams`] honour it, so any experiment can be re-run on either
-/// runtime without a rebuild (results are identical by construction — see
-/// `tests/parallel_determinism.rs`).
-pub fn runtime_from_env() -> RuntimeMode {
-    const WORKER_CAP: usize = 8;
-    let requested = std::env::var("BASIL_WORKERS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .unwrap_or(0);
-    match basil_common::resolve_workers(requested, WORKER_CAP) {
-        n if n > 1 => RuntimeMode::Parallel(n),
-        _ => RuntimeMode::Serial,
     }
 }
 
@@ -216,8 +185,7 @@ pub fn run_basil_with_faults(
     let config = ClusterConfig::basil_default(params.clients)
         .with_basil(basil)
         .with_byzantine_clients(byzantine_clients, fault)
-        .with_seed(params.seed)
-        .with_runtime(params.runtime);
+        .with_seed(params.seed);
     let seed = params.seed;
     let mut cluster = BasilCluster::build(config, |client| workload.generator(client, seed));
     cluster.run_measured(params.warmup, params.window)
@@ -236,8 +204,7 @@ pub fn run_basil_open_loop(
 ) -> RunReport {
     let config = ClusterConfig::basil_default(params.clients)
         .with_basil(basil)
-        .with_seed(params.seed)
-        .with_runtime(params.runtime);
+        .with_seed(params.seed);
     let seed = params.seed;
     let mut cluster = BasilCluster::build(config, move |client| {
         // Distinct arrival-process seed per client so Poisson streams are
@@ -273,8 +240,7 @@ pub fn run_baseline(
             .with_batch_size(batch),
         params.clients,
     )
-    .with_seed(params.seed)
-    .with_runtime(params.runtime);
+    .with_seed(params.seed);
     let seed = params.seed;
     let mut cluster = BaselineCluster::build(config, |client| workload.generator(client, seed));
     cluster.run_measured(params.warmup, params.window)
@@ -408,7 +374,6 @@ mod tests {
             fallbacks: 0,
             faulty_fraction: 0.0,
             per_label: Default::default(),
-            runtime: basil::RuntimeMode::Serial,
         });
         assert_eq!(clients, 3);
         assert_eq!(best.committed, 30);

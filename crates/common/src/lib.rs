@@ -16,7 +16,6 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod autoscale;
 pub mod bounded;
 pub mod config;
 pub mod error;
@@ -29,7 +28,6 @@ pub mod prng;
 pub mod time;
 pub mod timestamp;
 
-pub use autoscale::{auto_workers, resolve_workers};
 pub use bounded::BoundedFifoMap;
 pub use config::{ReadQuorum, ShardConfig, SystemConfig};
 pub use error::{BasilError, Result};

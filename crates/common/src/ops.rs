@@ -86,10 +86,7 @@ impl TxProfile {
 
 /// Source of transaction profiles for one client: the closed-loop driver asks
 /// for the next transaction as soon as the previous one finishes.
-///
-/// `Send` is required because client actors (which own their generator) are
-/// executed on worker threads by the parallel cluster runtime.
-pub trait TxGenerator: Send {
+pub trait TxGenerator {
     /// Produces the next transaction to run, or `None` when the client should
     /// stop issuing new transactions.
     fn next_tx(&mut self) -> Option<TxProfile>;

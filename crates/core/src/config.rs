@@ -95,15 +95,6 @@ pub struct BasilConfig {
     /// latency under overload for a hard memory ceiling — mirroring the
     /// client-side admission bound.
     pub catch_up_buffer_bound: usize,
-    /// Real-IO replicas only: how many executor threads fan ST1
-    /// verification + store-prepare work out ahead of the actor loop.
-    /// `0` means *auto* (size from [`basil_common::auto_workers`]); `1`
-    /// means inline — no pool, the actor does everything, exactly the
-    /// simulator's execution model. Values `≥ 2` require the concurrent
-    /// sharded store (`BasilReplica<SharedStore>`); the simulator ignores
-    /// this knob entirely, so every pinned determinism golden is
-    /// unaffected.
-    pub replica_executors: usize,
 }
 
 impl BasilConfig {
@@ -130,7 +121,6 @@ impl BasilConfig {
             wal_fsync_cost: Duration::ZERO,
             catch_up_timeout: Duration::from_millis(5),
             catch_up_buffer_bound: 4096,
-            replica_executors: 1,
         }
     }
 
@@ -198,15 +188,6 @@ impl BasilConfig {
     /// recovered through sender retransmission.
     pub fn with_catch_up_buffer_bound(mut self, bound: usize) -> Self {
         self.catch_up_buffer_bound = bound.max(1);
-        self
-    }
-
-    /// Returns a copy with the real-IO executor-pool width replaced: `0`
-    /// for automatic sizing from the host's cores, `1` for the inline
-    /// (pool-free) path, `n ≥ 2` for a pool of `n` workers over the
-    /// concurrent sharded store. See the `replica_executors` field docs.
-    pub fn replica_executors(mut self, n: usize) -> Self {
-        self.replica_executors = n;
         self
     }
 
@@ -280,14 +261,6 @@ mod tests {
             1,
             "bound is clamped to at least one buffered message"
         );
-    }
-
-    #[test]
-    fn executor_knob_defaults_inline() {
-        let cfg = BasilConfig::test_single_shard();
-        assert_eq!(cfg.replica_executors, 1, "inline path by default");
-        assert_eq!(cfg.clone().replica_executors(2).replica_executors, 2);
-        assert_eq!(cfg.replica_executors(0).replica_executors, 0, "0 = auto");
     }
 
     #[test]

@@ -135,10 +135,8 @@ struct RecoveryState {
 
 /// The Basil replica actor.
 ///
-/// Generic over the [`TxStore`] seam: the default serial [`MvtsoStore`]
-/// keeps the simulator bit-for-bit deterministic, while the real-IO runtime
-/// instantiates `BasilReplica<SharedStore>` so an executor pool can run
-/// prepares against the same store concurrently.
+/// Generic over the [`TxStore`] seam so a caller can substitute an
+/// instrumented store; every deployment runs the default [`MvtsoStore`].
 pub struct BasilReplica<S: TxStore = MvtsoStore> {
     id: ReplicaId,
     cfg: BasilConfig,

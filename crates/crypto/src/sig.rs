@@ -81,10 +81,9 @@ pub struct KeyRegistry {
 struct RegistryInner {
     master_seed: [u8; 32],
     /// Verification keys derived once at deployment build time. Plain
-    /// immutable map after construction, so lookups are lock-free and the
-    /// registry stays `Sync` for the parallel runtime. Nodes not listed
-    /// here fall back to on-the-fly derivation (two extra SHA-256 passes
-    /// per verification — the cost the precomputation removes).
+    /// immutable map after construction. Nodes not listed here fall back
+    /// to on-the-fly derivation (two extra SHA-256 passes per
+    /// verification — the cost the precomputation removes).
     precomputed: FastHashMap<NodeId, [u8; 32]>,
 }
 

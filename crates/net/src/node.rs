@@ -13,17 +13,14 @@
 //! actors.
 
 use crate::conn::{ConnManager, ConnOptions};
-use crate::exec::ExecutorPool;
-use crate::runtime::{Clock, NodeRuntime, PrefetchHook};
-use basil_common::{
-    resolve_workers, ClientId, Duration, Key, NodeId, ReplicaId, ShardId, SimTime, TxId, Value,
-};
+use crate::runtime::{Clock, NodeRuntime};
+use basil_common::{ClientId, Duration, Key, NodeId, ReplicaId, ShardId, SimTime, TxId, Value};
 use basil_core::byzantine::FaultProfile;
-use basil_core::{BasilClient, BasilConfig, BasilMsg, BasilReplica, ReplicaBehavior};
+use basil_core::{BasilClient, BasilConfig, BasilReplica, ReplicaBehavior};
 use basil_crypto::KeyRegistry;
 use basil_simnet::Actor;
 use basil_store::mvtso::Decision;
-use basil_store::{MvtsoStore, SharedStore, Transaction};
+use basil_store::Transaction;
 use basil_workloads::YcsbGenerator;
 use std::collections::HashMap;
 use std::io::{Read as IoRead, Write as IoWrite};
@@ -72,21 +69,10 @@ pub struct NodeConfig {
     pub reads: usize,
     /// Workload: writes per transaction.
     pub writes: usize,
-    /// Replica executor-pool width: `0` = auto-size from the host's cores
-    /// (capped at [`EXECUTOR_CAP`]; single-core hosts resolve to the inline
-    /// path), `1` = inline (no pool, serial store — the simulator's
-    /// execution model), `n ≥ 2` = a pool of `n` workers over the
-    /// concurrent sharded store. Ignored by client roles.
-    pub executors: usize,
 }
 
 /// The single shard of the real-IO deployment (n = 6, f = 1).
 pub const SHARD: ShardId = ShardId(0);
-
-/// Upper bound on auto-sized executor pools: ST1 handling stops scaling
-/// long before big-host core counts (one TCP fan-in, shared lock shards),
-/// so `--executors 0` never spawns more than this many workers.
-pub const EXECUTOR_CAP: usize = 4;
 
 /// The protocol configuration every process derives locally — identical by
 /// construction, like the simulator handing each actor a clone. Timeouts
@@ -178,13 +164,16 @@ pub fn run_node(cfg: &NodeConfig) -> std::io::Result<()> {
         Role::Client { id } => NodeId::Client(ClientId(id)),
     };
     let book = address_book(cfg.base_port, cfg.num_clients);
-    let listen = book[&self_id];
+    let listen = *book.get(&self_id).ok_or_else(|| {
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!("{self_id:?} is not in the deployment's address book"),
+        )
+    })?;
     let (conn, inbound) = ConnManager::start(listen, book, ConnOptions::default(), cfg.seed)?;
     let clock = Clock::new(cfg.epoch_unix_nanos);
     let deadline = SimTime(cfg.duration_ms.saturating_mul(1_000_000));
 
-    let mut pool: Option<ExecutorPool> = None;
-    let mut prefetch: Option<PrefetchHook> = None;
     let actor: Box<dyn Actor<basil_core::BasilMsg>> = match cfg.role {
         Role::Replica { index } => {
             let rid = ReplicaId::new(SHARD, index);
@@ -193,80 +182,25 @@ pub fn run_node(cfg: &NodeConfig) -> std::io::Result<()> {
                 Some(path) => std::fs::read(path).unwrap_or_default(),
                 None => Vec::new(),
             };
-            let executors = resolve_workers(cfg.executors, EXECUTOR_CAP);
-            if executors >= 2 {
-                // Multicore path: the replica runs over the concurrent
-                // sharded store, and an executor pool prefetches ST1
-                // verification + prepare from the runtime's burst drain.
-                let basil_cfg = basil_cfg.replica_executors(executors);
-                let mut replica = if wal_image.is_empty() {
-                    BasilReplica::<SharedStore>::new(
-                        rid,
-                        basil_cfg.clone(),
-                        registry.clone(),
-                        ReplicaBehavior::Correct,
-                        genesis,
-                    )
-                } else {
-                    BasilReplica::<SharedStore>::recover(
-                        rid,
-                        basil_cfg.clone(),
-                        registry.clone(),
-                        ReplicaBehavior::Correct,
-                        genesis,
-                        wal_image,
-                    )
-                };
-                if let Some(path) = &cfg.wal_path {
-                    std::fs::write(path, replica.take_wal_bytes())?;
-                }
-                let p = ExecutorPool::start(
-                    executors,
-                    self_id,
-                    &registry,
-                    &basil_cfg,
-                    replica.store(),
-                    clock,
-                );
-                let submitter = p.submitter();
-                prefetch = Some(Box::new(move |_from, msg| {
-                    // Recovery ST1s want replica-side state replies, not a
-                    // prepare; leave them entirely to the actor.
-                    if let BasilMsg::St1(st1) = msg {
-                        if !st1.recovery {
-                            submitter.submit(st1.clone());
-                        }
-                    }
-                }));
-                pool = Some(p);
-                Box::new(replica) as Box<dyn Actor<basil_core::BasilMsg>>
+            let mut replica: BasilReplica = if wal_image.is_empty() {
+                BasilReplica::new(rid, basil_cfg, registry, ReplicaBehavior::Correct, genesis)
             } else {
-                let mut replica = if wal_image.is_empty() {
-                    BasilReplica::<MvtsoStore>::new(
-                        rid,
-                        basil_cfg,
-                        registry,
-                        ReplicaBehavior::Correct,
-                        genesis,
-                    )
-                } else {
-                    BasilReplica::<MvtsoStore>::recover(
-                        rid,
-                        basil_cfg,
-                        registry,
-                        ReplicaBehavior::Correct,
-                        genesis,
-                        wal_image,
-                    )
-                };
-                if let Some(path) = &cfg.wal_path {
-                    // Rewrite the file with the clean prefix recovery kept (a
-                    // torn tail from the crash is truncated, exactly like the
-                    // simulator's recovery path), then keep appending to it.
-                    std::fs::write(path, replica.take_wal_bytes())?;
-                }
-                Box::new(replica)
+                BasilReplica::recover(
+                    rid,
+                    basil_cfg,
+                    registry,
+                    ReplicaBehavior::Correct,
+                    genesis,
+                    wal_image,
+                )
+            };
+            if let Some(path) = &cfg.wal_path {
+                // Rewrite the file with the clean prefix recovery kept (a
+                // torn tail from the crash is truncated, exactly like the
+                // simulator's recovery path), then keep appending to it.
+                std::fs::write(path, replica.take_wal_bytes())?;
             }
+            Box::new(replica)
         }
         Role::Client { id } => {
             // Same per-client generator seed split as the scenario runner,
@@ -287,87 +221,39 @@ pub fn run_node(cfg: &NodeConfig) -> std::io::Result<()> {
     };
 
     let mut runtime = NodeRuntime::new(self_id, actor, clock, conn.clone(), inbound);
-    if let Some(hook) = prefetch {
-        runtime.set_prefetch(hook);
-    }
     if let Some(path) = cfg.wal_path.clone() {
         let mut file = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
             .open(&path)?;
         runtime.set_post_event(Box::new(move |actor| {
-            let bytes = take_replica_wal(actor);
-            if !bytes.is_empty() {
-                // write(2) into the page cache survives SIGKILL (only
-                // power loss defeats it), which is the crash model the
-                // supervisor exercises — no fsync per event needed.
-                let _ = file.write_all(&bytes);
-                let _ = file.flush();
+            if let Some(replica) = actor.as_any_mut().downcast_mut::<BasilReplica>() {
+                let bytes = replica.take_wal_bytes();
+                if !bytes.is_empty() {
+                    // write(2) into the page cache survives SIGKILL (only
+                    // power loss defeats it), which is the crash model the
+                    // supervisor exercises — no fsync per event needed.
+                    let _ = file.write_all(&bytes);
+                    let _ = file.flush();
+                }
             }
         }));
     }
 
     let actor = runtime.run_until(deadline);
     conn.shutdown();
-    if let Some(pool) = pool {
-        // Joins the workers: no prefetch thread touches the store while it
-        // is harvested below.
-        let _ = pool.shutdown();
-    }
 
     let results = harvest(cfg.role, actor);
     write_results(&cfg.results_path, &results)
-}
-
-/// Drains pending WAL bytes from whichever replica flavour the actor is
-/// (serial-store or concurrent-store); empty for clients.
-fn take_replica_wal(actor: &mut dyn Actor<basil_core::BasilMsg>) -> Vec<u8> {
-    if let Some(replica) = actor
-        .as_any_mut()
-        .downcast_mut::<BasilReplica<MvtsoStore>>()
-    {
-        return replica.take_wal_bytes();
-    }
-    if let Some(replica) = actor
-        .as_any_mut()
-        .downcast_mut::<BasilReplica<SharedStore>>()
-    {
-        return replica.take_wal_bytes();
-    }
-    Vec::new()
 }
 
 /// Extracts the results record from the finished actor.
 fn harvest(role: Role, mut actor: Box<dyn Actor<basil_core::BasilMsg>>) -> NodeResults {
     match role {
         Role::Replica { .. } => {
-            if let Some(replica) = actor
-                .as_any_mut()
-                .downcast_mut::<BasilReplica<SharedStore>>()
-            {
-                let store = replica.store().handle();
-                let mut res = ReplicaResults {
-                    committed: store
-                        .committed_snapshot()
-                        .iter()
-                        .map(|tx| (**tx).clone())
-                        .collect(),
-                    decisions: store
-                        .decisions_snapshot()
-                        .into_iter()
-                        .map(|(txid, d)| (txid, d == Decision::Commit))
-                        .collect(),
-                    ..ReplicaResults::default()
-                };
-                let stats = replica.stats();
-                res.wal_appends = stats.wal_appends;
-                res.catch_up_applied = stats.catch_up_applied;
-                res.catch_up_shed = stats.catch_up_shed;
-                return NodeResults::Replica(res);
-            }
             let replica = actor
                 .as_any_mut()
-                .downcast_mut::<BasilReplica<MvtsoStore>>()
+                .downcast_mut::<BasilReplica>()
                 .expect("replica role runs a BasilReplica");
             let mut res = ReplicaResults {
                 committed: replica.store().committed_iter().cloned().collect(),

@@ -98,15 +98,6 @@ impl Ord for TimerEntry {
 /// handler ran (used for WAL persistence; see module docs).
 pub type PostEventHook = Box<dyn FnMut(&mut dyn Actor<BasilMsg>)>;
 
-/// Observes messages that are *queued but not yet dispatched* when a burst
-/// is drained off the socket channel. The replica role uses it to hand
-/// pending ST1s to the executor pool ([`crate::exec::ExecutorPool`]) so
-/// signature verification and the store's prepare check run on other cores
-/// while the actor loop is still working through the front of the burst.
-/// Purely advisory: every message is still dispatched to the actor, in
-/// order, exactly once.
-pub type PrefetchHook = Box<dyn FnMut(&NodeId, &BasilMsg)>;
-
 /// The event loop for one node process.
 pub struct NodeRuntime {
     self_id: NodeId,
@@ -118,7 +109,6 @@ pub struct NodeRuntime {
     loopback: VecDeque<(NodeId, BasilMsg)>,
     timer_seq: u64,
     post_event: Option<PostEventHook>,
-    prefetch: Option<PrefetchHook>,
 }
 
 impl NodeRuntime {
@@ -141,18 +131,12 @@ impl NodeRuntime {
             loopback: VecDeque::new(),
             timer_seq: 0,
             post_event: None,
-            prefetch: None,
         }
     }
 
     /// Installs the persistence hook run after every handler.
     pub fn set_post_event(&mut self, hook: PostEventHook) {
         self.post_event = Some(hook);
-    }
-
-    /// Installs the burst prefetch hook (see [`PrefetchHook`]).
-    pub fn set_prefetch(&mut self, hook: PrefetchHook) {
-        self.prefetch = Some(hook);
     }
 
     /// Drives the actor until deployment time reaches `deadline`, then
@@ -181,22 +165,10 @@ impl NodeRuntime {
             let wait = self.next_wait(deadline);
             match self.inbound.recv_timeout(wait) {
                 Ok((from, msg)) => {
+                    self.dispatch(from, msg);
                     // Opportunistically drain whatever else arrived, so a
-                    // burst does not pay one recv_timeout per message —
-                    // and so the prefetch hook sees the whole backlog
-                    // before the actor starts on its front.
-                    let mut burst = vec![(from, msg)];
-                    while let Ok(pair) = self.inbound.try_recv() {
-                        burst.push(pair);
-                    }
-                    if let Some(hook) = self.prefetch.as_mut() {
-                        // The first message is dispatched immediately
-                        // below; prefetching it would only race the actor.
-                        for (from, msg) in burst.iter().skip(1) {
-                            hook(from, msg);
-                        }
-                    }
-                    for (from, msg) in burst {
+                    // burst does not pay one recv_timeout per message.
+                    while let Ok((from, msg)) = self.inbound.try_recv() {
                         self.dispatch(from, msg);
                     }
                 }

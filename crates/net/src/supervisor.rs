@@ -51,11 +51,6 @@ pub struct SupervisorConfig {
     pub workdir: PathBuf,
     /// Workload knobs: keys, reads, writes per transaction.
     pub workload: (u64, usize, usize),
-    /// Replica executor-pool width passed to every replica process:
-    /// `1` = inline (serial store, the historical behaviour), `0` = auto
-    /// from the host's cores, `n ≥ 2` = a pool of `n` workers over the
-    /// concurrent sharded store.
-    pub executors: usize,
 }
 
 /// The harvested outcome of a supervised run.
@@ -181,7 +176,6 @@ fn spawn_node(
         .arg(writes.to_string());
     let who_name = if role == "replica" {
         cmd.arg("--wal").arg(wal_path(&cfg.workdir, who as u32));
-        cmd.arg("--executors").arg(cfg.executors.to_string());
         format!("replica-{who}")
     } else {
         format!("client-{who}")

@@ -37,7 +37,6 @@ fn six_process_cluster_commits_and_audits() {
         kill: None,
         workdir: workdir("clean"),
         workload: (200, 2, 2),
-        executors: 1,
     };
     let outcome = run_cluster(&cfg).expect("cluster runs to completion");
     assert_eq!(outcome.replicas.len(), 6, "all six replicas reported");
@@ -49,36 +48,6 @@ fn six_process_cluster_commits_and_audits() {
     // transactions' prepare/decision/apply records.
     let wal_appends: u64 = outcome.replicas.values().map(|r| r.wal_appends).sum();
     assert!(wal_appends > 0, "real WAL files got records");
-    let _ = std::fs::remove_dir_all(&cfg.workdir);
-}
-
-#[test]
-fn executor_pool_cluster_commits_and_audits() {
-    // The multicore replica path: every replica runs the concurrent
-    // sharded store behind a two-worker executor pool
-    // (`BasilConfig::replica_executors(2)`), with the runtime's burst
-    // prefetch feeding ST1s to the pool. The history must pass exactly the
-    // audit the inline path passes.
-    let cfg = SupervisorConfig {
-        node_bin: node_bin(),
-        num_clients: 2,
-        seed: 43,
-        base_port: base_port(140),
-        run_ms: 3_000,
-        kill: None,
-        workdir: workdir("exec"),
-        workload: (200, 2, 2),
-        executors: 2,
-    };
-    let outcome = run_cluster(&cfg).expect("executor-pool cluster runs to completion");
-    assert_eq!(outcome.replicas.len(), 6, "all six replicas reported");
-    let committed = outcome.total_committed();
-    assert!(committed > 0, "clients committed against pooled replicas");
-    outcome
-        .audit()
-        .expect("pooled history is serializable and agreed");
-    let wal_appends: u64 = outcome.replicas.values().map(|r| r.wal_appends).sum();
-    assert!(wal_appends > 0, "pooled replicas persisted WAL records");
     let _ = std::fs::remove_dir_all(&cfg.workdir);
 }
 
@@ -98,7 +67,6 @@ fn sigkill_mid_run_recovers_through_the_real_wal() {
         }),
         workdir: workdir("kill"),
         workload: (200, 2, 2),
-        executors: 1,
     };
     let outcome = run_cluster(&cfg).expect("cluster survives a SIGKILL");
     assert_eq!(

@@ -1,9 +1,7 @@
 //! Schedule-fuzzing driver.
 //!
 //! Generates seed-derived fault schedules, runs each against a Basil
-//! deployment on the serial runtime (periodically cross-checking the
-//! parallel runtime for bit-for-bit agreement), checks the
-//! serializability + decision-agreement audit and the
+//! deployment, checks the serializability + decision-agreement audit and the
 //! liveness-under-budget property, and delta-debugs any failure down to a
 //! minimal spec written to the failure directory.
 //!
@@ -14,7 +12,7 @@
 //!
 //! ```text
 //! fuzz_schedules [--count N] [--seed-base S] [--budget-secs T]
-//!                [--cross-check-every K] [--baseline-every B] [--out DIR]
+//!                [--baseline-every B] [--out DIR]
 //! ```
 //!
 //! Exit status: `0` all schedules passed; `1` the wall-clock budget ended
@@ -52,11 +50,6 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|e| format!("--budget-secs: {e}"))?;
                 opts.wall_budget = Some(std::time::Duration::from_secs(secs));
             }
-            "--cross-check-every" => {
-                opts.cross_check_every = value("--cross-check-every")?
-                    .parse()
-                    .map_err(|e| format!("--cross-check-every: {e}"))?
-            }
             "--baseline-every" => {
                 opts.baseline_every = value("--baseline-every")?
                     .parse()
@@ -66,7 +59,7 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 println!(
                     "usage: fuzz_schedules [--count N] [--seed-base S] [--budget-secs T] \
-                     [--cross-check-every K] [--baseline-every B] [--out DIR]"
+                     [--baseline-every B] [--out DIR]"
                 );
                 std::process::exit(0);
             }
@@ -86,8 +79,8 @@ fn main() {
     };
     let started = std::time::Instant::now();
     eprintln!(
-        "[fuzz] {} schedules from seed base {:#x} (cross-check every {}, budget {:?})",
-        args.opts.count, args.opts.seed_base, args.opts.cross_check_every, args.opts.wall_budget
+        "[fuzz] {} schedules from seed base {:#x} (budget {:?})",
+        args.opts.count, args.opts.seed_base, args.opts.wall_budget
     );
     let summary = fuzz(&args.opts, |run, failures| {
         if run % 100 == 0 {
@@ -99,9 +92,8 @@ fn main() {
     });
 
     eprintln!(
-        "[fuzz] done: {} schedules ({} cross-checked, {} baseline-replayed) in {:.1}s, {} failures",
+        "[fuzz] done: {} schedules ({} baseline-replayed) in {:.1}s, {} failures",
         summary.schedules_run,
-        summary.cross_checked,
         summary.baseline_checked,
         started.elapsed().as_secs_f64(),
         summary.failures.len()

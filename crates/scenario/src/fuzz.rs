@@ -2,11 +2,9 @@
 //!
 //! Every schedule is a [`ScenarioSpec`] generated *valid by construction*
 //! from a single `u64` seed (so a failure report is just a seed plus the
-//! shrunk spec). Each schedule runs on the serial runtime and is checked
-//! against the safety audit and — when the spec qualifies — the
-//! liveness-under-budget check; every `cross_check_every`-th schedule
-//! additionally replays on `Parallel(2)` and must be bit-for-bit
-//! identical. Failures are minimized with [`crate::shrink::shrink_spec`]
+//! shrunk spec). Each schedule runs once and is checked against the safety
+//! audit and — when the spec qualifies — the liveness-under-budget check.
+//! Failures are minimized with [`crate::shrink::shrink_spec`]
 //! using an oracle that reproduces the *same failure class*, and reported
 //! with their canonical RON encoding for the corpus.
 
@@ -14,7 +12,6 @@ use crate::ron;
 use crate::runner::{run_baseline_spec, run_basil_spec, FailureKind, ScenarioOutcome};
 use crate::shrink::shrink_spec;
 use crate::spec::{FaultBudget, FaultEvent, RecoveryMode, ScenarioSpec, Selector, WorkloadSpec};
-use basil::cluster::RuntimeMode;
 use basil_baselines::SystemKind;
 use basil_core::{ClientStrategy, ReplicaBehavior};
 use rand::{Rng, SeedableRng};
@@ -26,9 +23,6 @@ pub struct FuzzOptions {
     pub count: u64,
     /// Base seed: schedule `i` uses seed `seed_base + i`.
     pub seed_base: u64,
-    /// Run the serial-vs-parallel cross-check on every `n`-th schedule
-    /// (0 disables cross-checking).
-    pub cross_check_every: u64,
     /// Replay every `n`-th schedule (with Byzantine clients stripped)
     /// against a baseline system, cycling through the baseline kinds, and
     /// flag any serializability-audit failure (0 disables baseline runs).
@@ -45,7 +39,6 @@ impl Default for FuzzOptions {
         FuzzOptions {
             count: 1_000,
             seed_base: 0xBA51,
-            cross_check_every: 16,
             baseline_every: 25,
             wall_budget: None,
             max_failures: 5,
@@ -58,7 +51,7 @@ impl Default for FuzzOptions {
 pub struct FuzzFailure {
     /// The schedule seed that produced the failure.
     pub seed: u64,
-    /// The failure class (audit, liveness, or divergence).
+    /// The failure class (audit or liveness).
     pub kind: FailureKind,
     /// `Some(kind)` when the failure came from a baseline-system replay of
     /// the schedule rather than from Basil itself.
@@ -95,8 +88,6 @@ impl FuzzFailure {
 pub struct FuzzSummary {
     /// Schedules generated and executed.
     pub schedules_run: u64,
-    /// Of those, how many also ran the parallel cross-check.
-    pub cross_checked: u64,
     /// Of those, how many also replayed against a baseline system.
     pub baseline_checked: u64,
     /// Minimized failures, in discovery order.
@@ -256,20 +247,11 @@ pub fn generate_spec(seed: u64) -> ScenarioSpec {
     spec
 }
 
-/// Runs one schedule on the serial runtime and classifies the result.
+/// Runs one schedule and classifies the result.
 pub fn check_spec(spec: &ScenarioSpec) -> (ScenarioOutcome, Option<FailureKind>) {
-    let outcome = run_basil_spec(spec, RuntimeMode::Serial);
+    let outcome = run_basil_spec(spec);
     let verdict = outcome.check(spec);
     (outcome, verdict)
-}
-
-/// Replays `spec` on `Parallel(2)` and compares against the serial
-/// outcome. Any disagreement is a [`FailureKind::Divergence`].
-pub fn cross_check(spec: &ScenarioSpec, serial: &ScenarioOutcome) -> Option<FailureKind> {
-    let parallel = run_basil_spec(spec, RuntimeMode::Parallel(2));
-    serial
-        .diverges_from(&parallel)
-        .then_some(FailureKind::Divergence)
 }
 
 /// The baseline kinds the campaign cycles through.
@@ -293,11 +275,11 @@ pub fn baseline_variant(spec: &ScenarioSpec) -> ScenarioSpec {
 }
 
 /// Runs `spec` (which must have no Byzantine clients) against a baseline
-/// system on the serial runtime and reports a safety-audit failure, if
+/// system and reports a safety-audit failure, if
 /// any. Baselines deploy fewer replicas and make no liveness promise under
 /// Basil-sized fault schedules, so only the audit applies.
 pub fn check_baseline_spec(spec: &ScenarioSpec, kind: SystemKind) -> Option<FailureKind> {
-    let outcome = run_baseline_spec(spec, kind, RuntimeMode::Serial);
+    let outcome = run_baseline_spec(spec, kind);
     outcome
         .audit_failure
         .is_some()
@@ -307,16 +289,8 @@ pub fn check_baseline_spec(spec: &ScenarioSpec, kind: SystemKind) -> Option<Fail
 /// The shrink oracle for a failure class: does `candidate` still fail the
 /// same way?
 fn reproduces(candidate: &ScenarioSpec, kind: FailureKind) -> bool {
-    match kind {
-        FailureKind::Audit | FailureKind::Liveness => {
-            let (_, verdict) = check_spec(candidate);
-            verdict == Some(kind)
-        }
-        FailureKind::Divergence => {
-            let serial = run_basil_spec(candidate, RuntimeMode::Serial);
-            cross_check(candidate, &serial).is_some()
-        }
-    }
+    let (_, verdict) = check_spec(candidate);
+    verdict == Some(kind)
 }
 
 /// Runs a fuzzing campaign. `progress` is called after every schedule with
@@ -337,11 +311,7 @@ pub fn fuzz(opts: &FuzzOptions, mut progress: impl FnMut(u64, usize)) -> FuzzSum
         }
         let seed = opts.seed_base.wrapping_add(i);
         let spec = generate_spec(seed);
-        let (serial, mut verdict) = check_spec(&spec);
-        if verdict.is_none() && opts.cross_check_every != 0 && i % opts.cross_check_every == 0 {
-            summary.cross_checked += 1;
-            verdict = cross_check(&spec, &serial);
-        }
+        let (_, verdict) = check_spec(&spec);
         summary.schedules_run += 1;
         if let Some(kind) = verdict {
             let shrunk = shrink_spec(&spec, |candidate| reproduces(candidate, kind));
@@ -478,14 +448,12 @@ mod tests {
         let opts = FuzzOptions {
             count: 12,
             seed_base: 0xBA51,
-            cross_check_every: 6,
             baseline_every: 5,
             wall_budget: None,
             max_failures: 5,
         };
         let summary = fuzz(&opts, |_, _| {});
         assert_eq!(summary.schedules_run, 12);
-        assert!(summary.cross_checked >= 2);
         assert!(summary.baseline_checked >= 1, "baselines were fuzzed too");
         assert!(
             summary.failures.is_empty(),

@@ -13,22 +13,20 @@
 //!   `tests/corpus/`.
 //! * [`runner`] — compiles a spec onto the simulator seam (link faults,
 //!   crashes, partitions, behaviour switches, node-property overrides) and
-//!   executes it on Basil or a baseline, serial or parallel, bit-for-bit
-//!   identically.
+//!   executes it on Basil or a baseline, bit-for-bit reproducibly.
 //! * [`mod@fuzz`] — seed-driven schedule generation plus the
-//!   safety/liveness/divergence checks.
+//!   safety and liveness checks.
 //! * [`shrink`] — greedy delta debugging: a failing spec is reduced to a
 //!   1-minimal set of fault events before it is reported.
 //!
 //! ```no_run
-//! use basil::cluster::RuntimeMode;
 //! use basil_scenario::{fuzz, runner};
 //!
-//! // Replay one generated schedule on both runtimes.
+//! // Run one generated schedule twice: the replay is bit-for-bit identical.
 //! let spec = fuzz::generate_spec(0xBA51);
-//! let serial = runner::run_basil_spec(&spec, RuntimeMode::Serial);
-//! let parallel = runner::run_basil_spec(&spec, RuntimeMode::Parallel(2));
-//! assert!(!serial.diverges_from(&parallel));
+//! let first = runner::run_basil_spec(&spec);
+//! let replay = runner::run_basil_spec(&spec);
+//! assert!(!first.diverges_from(&replay));
 //! ```
 
 #![deny(missing_docs)]

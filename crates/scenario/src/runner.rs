@@ -1,18 +1,16 @@
 //! Compiles a [`ScenarioSpec`] onto the simulator seam and executes it.
 //!
-//! One spec drives any [`ClusterProtocol`] deployment on either runtime:
-//! build-time faults (clock skew, slow replicas) become
+//! One spec drives any [`ClusterProtocol`] deployment: build-time faults (clock skew, slow replicas) become
 //! [`ReplicaPropsOverride`]s, link faults become `basil_simnet`
 //! [`LinkFault`]s installed up-front with absolute windows, and the timed
 //! actions (crash/restart, partition/heal, misbehave/revert) are walked as
 //! a sorted timeline of `run_for` steps. Because every fault compiles to
 //! the deterministic simulator's own hooks, replaying the same `(spec,
-//! seed)` is bit-for-bit identical on [`RuntimeMode::Serial`] and
-//! [`RuntimeMode::Parallel`] — which is exactly what the fuzzer's
-//! cross-check asserts.
+//! seed)` is bit-for-bit identical ([`ScenarioOutcome::diverges_from`]
+//! compares two replays).
 
 use crate::spec::{FaultEvent, RecoveryMode, ScenarioSpec, Selector, WorkloadSpec};
-use basil::cluster::{ClusterProtocol, ProtocolCluster, ReplicaPropsOverride, RuntimeMode};
+use basil::cluster::{ClusterProtocol, ProtocolCluster, ReplicaPropsOverride};
 use basil::harness::{BasilCluster, ClusterConfig};
 use basil::report::RunReport;
 use basil::workloads::ycsb::YcsbGenerator;
@@ -27,12 +25,10 @@ use basil_simnet::{LinkFault, LinkFaultKind, NodeMatcher};
 use basil_store::mvtso::Decision;
 use std::collections::HashMap;
 
-/// Everything a scenario run produces, comparable across runtimes and
+/// Everything a scenario run produces, comparable across replays and
 /// against pinned corpus expectations.
 #[derive(Clone, Debug)]
 pub struct ScenarioOutcome {
-    /// The runtime the scenario executed on.
-    pub runtime: RuntimeMode,
     /// Committed transactions across correct clients (whole run).
     pub committed: u64,
     /// Aborted attempts across correct clients (whole run).
@@ -74,8 +70,6 @@ pub enum FailureKind {
     Audit,
     /// A liveness-checkable scenario made no progress in the quiet tail.
     Liveness,
-    /// Serial and parallel runs of the same spec disagreed.
-    Divergence,
 }
 
 impl std::fmt::Display for FailureKind {
@@ -83,7 +77,6 @@ impl std::fmt::Display for FailureKind {
         match self {
             FailureKind::Audit => write!(f, "audit"),
             FailureKind::Liveness => write!(f, "liveness"),
-            FailureKind::Divergence => write!(f, "divergence"),
         }
     }
 }
@@ -342,7 +335,6 @@ pub fn drive<P: ClusterProtocol>(
     let tail = tail.unwrap_or_default();
     let metrics = cluster.sim().metrics();
     ScenarioOutcome {
-        runtime: cluster.runtime_mode(),
         committed: end.committed,
         aborted_attempts: end.aborted_attempts,
         byz_committed: end.byz_committed,
@@ -360,8 +352,7 @@ pub fn drive<P: ClusterProtocol>(
             &warm,
             &end,
             Duration::from_millis(spec.duration_ms - spec.warmup_ms),
-        )
-        .with_runtime(cluster.runtime_mode()),
+        ),
     }
 }
 
@@ -447,10 +438,10 @@ fn props_overrides(spec: &ScenarioSpec) -> Vec<(ReplicaId, ReplicaPropsOverride)
     out
 }
 
-/// Runs `spec` against a Basil deployment on the given runtime and returns
-/// the outcome. Panics if the spec fails [`ScenarioSpec::validate`] —
-/// validate at the boundary (fuzzer, corpus loader) first.
-pub fn run_basil_spec(spec: &ScenarioSpec, mode: RuntimeMode) -> ScenarioOutcome {
+/// Runs `spec` against a Basil deployment and returns the outcome. Panics
+/// if the spec fails [`ScenarioSpec::validate`] — validate at the boundary
+/// (fuzzer, corpus loader) first.
+pub fn run_basil_spec(spec: &ScenarioSpec) -> ScenarioOutcome {
     spec.validate().expect("spec validated before running");
     let mut system = SystemConfig::single_shard_f1();
     system.shard = ShardConfig::new(spec.f);
@@ -458,8 +449,7 @@ pub fn run_basil_spec(spec: &ScenarioSpec, mode: RuntimeMode) -> ScenarioOutcome
     basil_cfg.relax_st2_validation = spec.relax_st2;
     let mut config = ClusterConfig::basil_default(spec.clients)
         .with_basil(basil_cfg)
-        .with_seed(spec.seed)
-        .with_runtime(mode);
+        .with_seed(spec.seed);
     if spec.byz_clients > 0 {
         config = config.with_byzantine_clients(
             spec.byz_clients,
@@ -468,11 +458,6 @@ pub fn run_basil_spec(spec: &ScenarioSpec, mode: RuntimeMode) -> ScenarioOutcome
                 faulty_fraction: spec.byz_fraction,
             },
         );
-    }
-    if matches!(mode, RuntimeMode::Parallel(_)) {
-        // Force every epoch through the workers: the cross-check should
-        // exercise the parallel machinery, not the inline fast path.
-        config = config.with_parallel_tuning(None, Some(0));
     }
     for (r, props) in props_overrides(spec) {
         config = config.with_replica_props(r, props);
@@ -485,21 +470,12 @@ pub fn run_basil_spec(spec: &ScenarioSpec, mode: RuntimeMode) -> ScenarioOutcome
 /// fewer replicas than Basil's `5f + 1` and ignore client strategies and
 /// replica misbehaviour they don't implement; fault events targeting
 /// replica indices outside the baseline's range are harmless no-ops.
-pub fn run_baseline_spec(
-    spec: &ScenarioSpec,
-    kind: SystemKind,
-    mode: RuntimeMode,
-) -> ScenarioOutcome {
+pub fn run_baseline_spec(spec: &ScenarioSpec, kind: SystemKind) -> ScenarioOutcome {
     spec.validate().expect("spec validated before running");
     let baseline = BaselineConfig::new(kind)
         .with_shards(1)
         .with_batch_size(spec.batch_size);
-    let mut config = BaselineClusterConfig::new(baseline, spec.clients)
-        .with_seed(spec.seed)
-        .with_runtime(mode);
-    if matches!(mode, RuntimeMode::Parallel(_)) {
-        config = config.with_parallel_tuning(None, Some(0));
-    }
+    let mut config = BaselineClusterConfig::new(baseline, spec.clients).with_seed(spec.seed);
     for (r, props) in props_overrides(spec) {
         config = config.with_replica_props(r, props);
     }
@@ -515,7 +491,7 @@ mod tests {
     #[test]
     fn base_spec_runs_and_passes_checks_on_serial() {
         let spec = base_spec();
-        let out = run_basil_spec(&spec, RuntimeMode::Serial);
+        let out = run_basil_spec(&spec);
         assert!(out.committed > 0, "progress under faults: {out:?}");
         assert!(out.tail_committed > 0, "tail progress: {out:?}");
         assert!(
@@ -526,14 +502,11 @@ mod tests {
     }
 
     #[test]
-    fn replay_is_bit_identical_and_runtime_independent() {
+    fn replay_is_bit_identical() {
         let spec = base_spec();
-        let a = run_basil_spec(&spec, RuntimeMode::Serial);
-        let b = run_basil_spec(&spec, RuntimeMode::Serial);
-        assert!(!a.diverges_from(&b), "serial replay identical");
-        let p = run_basil_spec(&spec, RuntimeMode::Parallel(2));
-        assert!(!a.diverges_from(&p), "serial vs parallel: {a:?} vs {p:?}");
-        assert_eq!(p.runtime, RuntimeMode::Parallel(2));
+        let a = run_basil_spec(&spec);
+        let b = run_basil_spec(&spec);
+        assert!(!a.diverges_from(&b), "replay identical: {a:?} vs {b:?}");
     }
 
     #[test]
@@ -547,14 +520,14 @@ mod tests {
             recovery: RecoveryMode::Amnesia,
         }];
         spec.validate().expect("valid");
-        let out = run_basil_spec(&spec, RuntimeMode::Serial);
+        let out = run_basil_spec(&spec);
         assert!(out.committed > 0, "progress across the amnesia crash");
         assert!(out.tail_committed > 0, "liveness after recovery");
         assert_eq!(out.check(&spec), None, "{:?}", out.audit_failure);
-        let p = run_basil_spec(&spec, RuntimeMode::Parallel(2));
+        let replay = run_basil_spec(&spec);
         assert!(
-            !out.diverges_from(&p),
-            "serial vs parallel: {out:?} vs {p:?}"
+            !out.diverges_from(&replay),
+            "replay identical: {out:?} vs {replay:?}"
         );
     }
 
@@ -581,7 +554,7 @@ mod tests {
         spec.budget.crash = 1;
         spec.budget.deceit = 1;
         spec.validate().expect("valid");
-        let out = run_basil_spec(&spec, RuntimeMode::Serial);
+        let out = run_basil_spec(&spec);
         assert!(out.committed > 0, "{out:?}");
         assert_eq!(out.check(&spec), None, "{:?}", out.audit_failure);
     }
@@ -590,7 +563,7 @@ mod tests {
     fn baseline_runs_the_same_spec() {
         let mut spec = base_spec();
         spec.byz_clients = 0; // baselines have no Byzantine-client support
-        let out = run_baseline_spec(&spec, SystemKind::Tapir, RuntimeMode::Serial);
+        let out = run_baseline_spec(&spec, SystemKind::Tapir);
         assert!(out.committed > 0, "{out:?}");
         assert!(out.audit_failure.is_none(), "{:?}", out.audit_failure);
     }

@@ -6,8 +6,7 @@
 //! [`FaultEvent`]s. The runner (`crate::runner`) compiles a spec onto the
 //! simulator seam — `basil_simnet`'s crash/partition/link-fault hooks and
 //! `basil_core`'s behaviour knobs — so one spec drives Basil and the
-//! baselines, on the serial and the parallel runtime, bit-for-bit
-//! identically.
+//! baselines, bit-for-bit reproducibly.
 //!
 //! ## Fault taxonomy and budgets
 //!

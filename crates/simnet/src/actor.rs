@@ -10,14 +10,8 @@ use std::any::Any;
 /// world goes through the [`Context`] passed to each callback. This keeps the
 /// protocol logic deterministic, directly unit-testable (construct a
 /// `Context`, feed messages, inspect the recorded outputs), and reusable by
-/// both the discrete-event simulator and the threaded runtime.
-///
-/// `Send` is part of the contract: the parallel runtime
-/// (`basil_simnet::parallel`) moves each actor's slot to a fixed worker
-/// thread for the duration of an epoch, so an actor may own no
-/// thread-affine state (`Rc`, un-`Send` interior mutability). An actor is
-/// only ever *executed* by one thread at a time — `Sync` is not required.
-pub trait Actor<M>: Any + Send {
+/// both the discrete-event simulator and the real-IO runtime.
+pub trait Actor<M>: Any {
     /// Called once when the simulation starts, before any message delivery.
     fn on_start(&mut self, _ctx: &mut Context<M>) {}
 

@@ -61,11 +61,9 @@
 pub mod actor;
 pub mod metrics;
 pub mod network;
-pub mod parallel;
 pub mod sim;
 
 pub use actor::{Actor, Context};
 pub use metrics::{Metrics, NodeMetrics};
 pub use network::{LinkFault, LinkFaultKind, NetworkConfig, NodeMatcher, Partition};
-pub use parallel::ParallelSimulation;
 pub use sim::{Corruptor, NodeProps, Simulation};

@@ -69,14 +69,6 @@ impl NetworkConfig {
     pub fn sample_drop(&self, rng: &mut impl Rng) -> bool {
         self.drop_probability > 0.0 && rng.gen::<f64>() < self.drop_probability
     }
-
-    /// A guaranteed lower bound on the delivery delay of any message this
-    /// network can produce (jitter only ever adds). The parallel runtime
-    /// uses it as the default epoch lookahead: no event can schedule a send
-    /// closer than this to its own timestamp.
-    pub fn min_delay(&self) -> Duration {
-        self.one_way_latency.min(self.loopback_latency)
-    }
 }
 
 impl Default for NetworkConfig {
@@ -166,8 +158,6 @@ pub enum LinkFaultKind {
         probability: f64,
     },
     /// Add a fixed extra delay on top of the sampled network latency.
-    /// Delay only ever *adds*, so [`NetworkConfig::min_delay`] — and with it
-    /// the parallel runtime's epoch-lookahead bound — stays valid.
     Delay {
         /// Extra one-way delay added to each matching message.
         extra: Duration,

@@ -48,7 +48,7 @@ use std::sync::Arc;
 /// Installed per simulation via [`Simulation::set_corruptor`]; without one,
 /// corruption models *detected* garbling on an authenticated channel and the
 /// message is discarded instead.
-pub type Corruptor<M> = Arc<dyn Fn(&mut M, u64) + Send + Sync>;
+pub type Corruptor<M> = Arc<dyn Fn(&mut M, u64)>;
 
 /// Static properties of a simulated node.
 #[derive(Clone, Copy, Debug)]
@@ -100,35 +100,16 @@ impl Default for NodeProps {
     }
 }
 
-pub(crate) struct NodeSlot<M> {
-    pub(crate) id: NodeId,
-    pub(crate) actor: Box<dyn Actor<M>>,
-    pub(crate) props: NodeProps,
-    pub(crate) core_free: Vec<SimTime>,
-    pub(crate) crashed: bool,
-    pub(crate) metrics: NodeMetrics,
+struct NodeSlot<M> {
+    id: NodeId,
+    actor: Box<dyn Actor<M>>,
+    props: NodeProps,
+    core_free: Vec<SimTime>,
+    crashed: bool,
+    metrics: NodeMetrics,
 }
 
-/// What executing one event against its destination slot produced. The
-/// slot-local half of a dispatch: handler run, per-slot metrics, core
-/// accounting. The *global* half (event counters, network sampling, queue
-/// pushes) stays with the driver so the slot half can run on a worker
-/// thread — see [`crate::parallel`].
-pub(crate) enum ExecOutcome<M> {
-    /// The destination was crashed; the message is dropped.
-    Dropped,
-    /// The handler ran.
-    Done {
-        /// The node that handled the event (source of the outputs).
-        from: NodeId,
-        /// Time the handler's charged CPU completed (outputs leave then).
-        completion: SimTime,
-        /// The sends and timers the handler recorded.
-        outputs: Vec<Output<M>>,
-    },
-}
-
-impl<M: 'static> NodeSlot<M> {
+impl<M> NodeSlot<M> {
     fn local_clock(&self, now: SimTime) -> SimTime {
         let ns = now.as_nanos() as i64 + self.props.clock_skew_ns;
         SimTime::from_nanos(ns.max(0) as u64)
@@ -143,64 +124,22 @@ impl<M: 'static> NodeSlot<M> {
             .map(|(i, _)| i)
             .expect("nodes have at least one core")
     }
-
-    /// Runs one event's handler against this slot: core queueing, the
-    /// handler itself, and the per-slot metrics. Touches nothing but the
-    /// slot, so the serial loop and the parallel workers share it — which is
-    /// what makes the two runtimes identical by construction.
-    pub(crate) fn execute(&mut self, ev: Event<M>) -> ExecOutcome<M> {
-        if self.crashed {
-            return ExecOutcome::Dropped;
-        }
-        let core = self.earliest_core();
-        let start = self.core_free[core].max(ev.at);
-        let wait = start - ev.at;
-        let local = self.local_clock(start);
-
-        let mut ctx = Context::new(self.id, start, local);
-        if ev.is_timer {
-            self.actor.on_timer(&mut ctx, ev.msg);
-        } else {
-            self.actor.on_message(&mut ctx, ev.from, ev.msg);
-        }
-        let (outputs, charged) = ctx.finish();
-        let completion = start + charged;
-        self.core_free[core] = completion;
-
-        if ev.is_timer {
-            self.metrics.timers_fired += 1;
-        } else {
-            self.metrics.messages_processed += 1;
-        }
-        self.metrics.cpu_busy += charged;
-        self.metrics.queue_wait += wait;
-        self.metrics.messages_sent += outputs
-            .iter()
-            .filter(|o| matches!(o, Output::Send { .. }))
-            .count() as u64;
-
-        ExecOutcome::Done {
-            from: self.id,
-            completion,
-            outputs,
-        }
-    }
 }
 
 /// Slot index standing for a destination that was not registered when the
 /// message was sent; the event is dropped at dispatch, as the heap
 /// scheduler did for unknown `NodeId`s.
-pub(crate) const UNKNOWN_SLOT: u32 = u32::MAX;
+const UNKNOWN_SLOT: u32 = u32::MAX;
 
 #[derive(Debug)]
-pub(crate) struct Event<M> {
-    pub(crate) at: SimTime,
-    pub(crate) seq: u64,
+struct Event<M> {
+    at: SimTime,
+    seq: u64,
     /// Destination, pre-resolved to a dense slot index at enqueue time.
-    pub(crate) to_slot: u32,
-    pub(crate) from: NodeId,
-    pub(crate) msg: M,
-    pub(crate) is_timer: bool,
+    to_slot: u32,
+    from: NodeId,
+    msg: M,
+    is_timer: bool,
 }
 
 impl<M> PartialEq for Event<M> {
@@ -344,14 +283,6 @@ impl<M> EventQueue<M> {
         self.len -= 1;
         Some(ev)
     }
-
-    /// Number of events currently in the drain heap (primed by a preceding
-    /// `peek_at`). The drain bucket is at least one lookahead window wide,
-    /// so this is an upper bound on the next epoch's size — the parallel
-    /// driver's cheap density hint.
-    fn current_len(&self) -> usize {
-        self.current.len()
-    }
 }
 
 /// The discrete-event simulator.
@@ -361,19 +292,16 @@ impl<M> EventQueue<M> {
 /// passed to [`Simulation::new`], so runs are reproducible; see the module
 /// docs for the scheduler design and the determinism contract.
 pub struct Simulation<M> {
-    /// Dense slots; `None` only transiently, while a slot is checked out to
-    /// a parallel worker (see [`crate::parallel`]). Between runs every slot
-    /// is home.
-    pub(crate) slots: Vec<Option<NodeSlot<M>>>,
+    /// Dense actor slots, indexed by the slot numbers in `index`.
+    slots: Vec<NodeSlot<M>>,
     index: HashMap<NodeId, u32>,
     queue: EventQueue<M>,
     now: SimTime,
     seq: u64,
-    pub(crate) network: NetworkConfig,
+    network: NetworkConfig,
     partitions: Vec<Partition>,
     /// Targeted, time-windowed link faults (see [`LinkFault`]); consulted in
-    /// [`Simulation::apply_outputs`] only, so the serial and parallel
-    /// runtimes see the identical fault decisions.
+    /// [`Simulation::apply_outputs`] only.
     link_faults: Vec<LinkFault>,
     corruptor: Option<Corruptor<M>>,
     rng: SmallRng,
@@ -382,7 +310,7 @@ pub struct Simulation<M> {
     node_order: Vec<NodeId>,
     /// Whole-simulation counters; the per-node breakdown lives in the
     /// slots and is assembled on demand by [`Simulation::metrics`].
-    pub(crate) global: Metrics,
+    global: Metrics,
     started: bool,
 }
 
@@ -426,14 +354,14 @@ impl<M: Clone + 'static> Simulation<M> {
             .binary_search(&id)
             .expect_err("id not yet registered");
         self.node_order.insert(pos, id);
-        self.slots.push(Some(NodeSlot {
+        self.slots.push(NodeSlot {
             id,
             actor,
             props,
             core_free: vec![SimTime::ZERO; cores],
             crashed: false,
             metrics: NodeMetrics::default(),
-        }));
+        });
     }
 
     /// Current simulation time.
@@ -448,7 +376,6 @@ impl<M: Clone + 'static> Simulation<M> {
         m.per_node = self
             .slots
             .iter()
-            .filter_map(|s| s.as_ref())
             .map(|s| (s.id, s.metrics.clone()))
             .collect();
         m
@@ -464,11 +391,11 @@ impl<M: Clone + 'static> Simulation<M> {
     }
 
     fn slot_ref(&self, id: NodeId) -> Option<&NodeSlot<M>> {
-        self.slot_of(id).and_then(|i| self.slots[i].as_ref())
+        self.slot_of(id).map(|i| &self.slots[i])
     }
 
     fn slot_mut(&mut self, id: NodeId) -> Option<&mut NodeSlot<M>> {
-        self.slot_of(id).and_then(|i| self.slots[i].as_mut())
+        self.slot_of(id).map(|i| &mut self.slots[i])
     }
 
     /// All registered node identifiers, in sorted order.
@@ -533,7 +460,7 @@ impl<M: Clone + 'static> Simulation<M> {
         let i = self.slot_of(id)?;
         let now = self.now;
         let started = self.started;
-        let slot = self.slots[i].as_mut()?;
+        let slot = &mut self.slots[i];
         let old = std::mem::replace(&mut slot.actor, actor);
         slot.crashed = false;
         if started {
@@ -613,7 +540,7 @@ impl<M: Clone + 'static> Simulation<M> {
         self.seq
     }
 
-    pub(crate) fn ensure_started(&mut self) {
+    fn ensure_started(&mut self) {
         if self.started {
             return;
         }
@@ -621,7 +548,7 @@ impl<M: Clone + 'static> Simulation<M> {
         for pos in 0..self.node_order.len() {
             let id = self.node_order[pos];
             let i = self.slot_of(id).expect("listed node exists");
-            let slot = self.slots[i].as_mut().expect("slot is home");
+            let slot = &mut self.slots[i];
             let local = slot.local_clock(SimTime::ZERO);
             let mut ctx = Context::new(id, SimTime::ZERO, local);
             slot.actor.on_start(&mut ctx);
@@ -678,34 +605,64 @@ impl<M: Clone + 'static> Simulation<M> {
         self.queue.len()
     }
 
-    pub(crate) fn dispatch(&mut self, ev: Event<M>) -> Option<SimTime> {
-        let (at, is_timer, to_slot) = (ev.at, ev.is_timer, ev.to_slot);
-        let outcome = match self
-            .slots
-            .get_mut(to_slot as usize)
-            .and_then(Option::as_mut)
-        {
-            Some(slot) => slot.execute(ev),
+    fn dispatch(&mut self, ev: Event<M>) {
+        self.global.events_processed += 1;
+        self.global.last_event_at = ev.at;
+
+        let Some(slot) = self.slots.get_mut(ev.to_slot as usize) else {
             // Message to a node unknown at send time: drop.
-            None => ExecOutcome::Dropped,
+            self.global.messages_dropped += 1;
+            return;
         };
-        self.apply_exec(to_slot, at, is_timer, outcome)
+        if slot.crashed {
+            self.global.messages_dropped += 1;
+            return;
+        }
+
+        // Queue for a free core.
+        let core = slot.earliest_core();
+        let start = slot.core_free[core].max(ev.at);
+        let wait = start - ev.at;
+        let local = slot.local_clock(start);
+
+        let mut ctx = Context::new(slot.id, start, local);
+        if ev.is_timer {
+            slot.actor.on_timer(&mut ctx, ev.msg);
+        } else {
+            slot.actor.on_message(&mut ctx, ev.from, ev.msg);
+        }
+        let (outputs, charged) = ctx.finish();
+        let completion = start + charged;
+        slot.core_free[core] = completion;
+
+        if ev.is_timer {
+            slot.metrics.timers_fired += 1;
+        } else {
+            slot.metrics.messages_processed += 1;
+        }
+        slot.metrics.cpu_busy += charged;
+        slot.metrics.queue_wait += wait;
+        slot.metrics.messages_sent += outputs
+            .iter()
+            .filter(|o| matches!(o, Output::Send { .. }))
+            .count() as u64;
+        self.global.messages_delivered += u64::from(!ev.is_timer);
+
+        let from = slot.id;
+        self.apply_outputs(ev.to_slot, from, completion, outputs);
     }
 
     /// Applies a handler's recorded outputs: network sampling (partitions,
     /// loss, latency jitter) and queue insertion, in output order. This is
-    /// the *only* place randomness is consumed, so any runtime that applies
-    /// outputs in serial `(time, seq)` dispatch order reproduces the exact
-    /// event trace. Returns the earliest timestamp enqueued (used by the
-    /// parallel driver's epoch-safety check).
-    pub(crate) fn apply_outputs(
+    /// the *only* place randomness is consumed, so applying outputs in
+    /// `(time, seq)` dispatch order reproduces the exact event trace.
+    fn apply_outputs(
         &mut self,
         from_slot: u32,
         from: NodeId,
         completion: SimTime,
         outputs: Vec<Output<M>>,
-    ) -> Option<SimTime> {
-        let mut earliest: Option<SimTime> = None;
+    ) {
         for out in outputs {
             match out {
                 Output::Send { to, mut msg } => {
@@ -779,7 +736,6 @@ impl<M: Clone + 'static> Simulation<M> {
                         self.network.sample_latency(from, to, &mut self.rng) + extra_delay;
                     let seq = self.next_seq();
                     let at = completion + latency;
-                    earliest = Some(earliest.map_or(at, |e: SimTime| e.min(at)));
                     self.queue.push(Event {
                         at,
                         seq,
@@ -793,7 +749,6 @@ impl<M: Clone + 'static> Simulation<M> {
                             self.network.sample_latency(from, to, &mut self.rng) + extra_delay;
                         let seq = self.next_seq();
                         let at = completion + latency;
-                        earliest = Some(earliest.map_or(at, |e: SimTime| e.min(at)));
                         self.queue.push(Event {
                             at,
                             seq,
@@ -807,7 +762,6 @@ impl<M: Clone + 'static> Simulation<M> {
                 Output::Timer { delay, msg } => {
                     let seq = self.next_seq();
                     let at = completion + delay;
-                    earliest = Some(earliest.map_or(at, |e: SimTime| e.min(at)));
                     self.queue.push(Event {
                         at,
                         seq,
@@ -819,113 +773,6 @@ impl<M: Clone + 'static> Simulation<M> {
                 }
             }
         }
-        earliest
-    }
-
-    /// Records the driver-side accounting for one dispatched event and
-    /// applies its outputs. Shared by the serial loop and the parallel
-    /// driver's in-order apply stage.
-    pub(crate) fn apply_exec(
-        &mut self,
-        to_slot: u32,
-        at: SimTime,
-        is_timer: bool,
-        outcome: ExecOutcome<M>,
-    ) -> Option<SimTime> {
-        self.global.events_processed += 1;
-        self.global.last_event_at = at;
-        self.now = at;
-        match outcome {
-            ExecOutcome::Dropped => {
-                self.global.messages_dropped += 1;
-                None
-            }
-            ExecOutcome::Done {
-                from,
-                completion,
-                outputs,
-            } => {
-                self.global.messages_delivered += u64::from(!is_timer);
-                self.apply_outputs(to_slot, from, completion, outputs)
-            }
-        }
-    }
-
-    /// Timestamp of the earliest queued event (primes the drain heap).
-    pub(crate) fn peek_at(&mut self) -> Option<SimTime> {
-        self.queue.peek_at()
-    }
-
-    /// Upper bound on the next epoch's size — see `EventQueue::current_len`.
-    pub(crate) fn queue_density(&self) -> usize {
-        self.queue.current_len()
-    }
-
-    /// Pops and dispatches exactly one event (the serial loop's step,
-    /// exposed for the parallel driver's sparse-queue path).
-    pub(crate) fn step_one(&mut self) {
-        if let Some(ev) = self.queue.pop() {
-            self.dispatch(ev);
-        }
-    }
-
-    /// Pops the next *epoch*: the maximal run of queued events whose
-    /// timestamps all fall within `lookahead` of the earliest pending event
-    /// (and at or before `deadline`), appended to `buf` in `(time, seq)`
-    /// order.
-    ///
-    /// If `lookahead` is at most the minimum delay of any send latency or
-    /// timer, no event generated by an epoch event can land inside the
-    /// epoch, so the epoch's events can be executed before any of their
-    /// outputs are applied — the invariant the parallel runtime builds on.
-    pub(crate) fn pop_epoch(
-        &mut self,
-        deadline: SimTime,
-        lookahead: Duration,
-        buf: &mut Vec<Event<M>>,
-    ) {
-        let Some(first_at) = self.queue.peek_at() else {
-            return;
-        };
-        if first_at > deadline {
-            return;
-        }
-        let horizon = first_at.saturating_add(lookahead.max(Duration::from_nanos(1)));
-        while let Some(at) = self.queue.peek_at() {
-            if at > deadline || at >= horizon {
-                break;
-            }
-            buf.push(self.queue.pop().expect("peeked event exists"));
-        }
-    }
-
-    /// Pushes un-executed events back into the queue (the inline epoch path
-    /// backs out when an epoch event schedules work inside the epoch
-    /// window). Events keep their original sequence numbers, so ordering is
-    /// unaffected.
-    pub(crate) fn requeue(&mut self, events: impl IntoIterator<Item = Event<M>>) {
-        for ev in events {
-            self.queue.push(ev);
-        }
-    }
-
-    /// Takes the destination slot of `ev` out of the table (checked out to a
-    /// worker) — `None` when the destination is unknown or already taken.
-    pub(crate) fn take_slot(&mut self, idx: u32) -> Option<NodeSlot<M>> {
-        self.slots.get_mut(idx as usize).and_then(Option::take)
-    }
-
-    /// Returns a checked-out slot to its home position.
-    pub(crate) fn put_slot(&mut self, idx: u32, slot: NodeSlot<M>) {
-        let home = &mut self.slots[idx as usize];
-        debug_assert!(home.is_none(), "slot {idx} returned twice");
-        *home = Some(slot);
-    }
-
-    /// Advances the clock to `deadline` if nothing later ran (used by the
-    /// parallel driver to mirror `run_until`'s final clock rule).
-    pub(crate) fn finish_run(&mut self, deadline: SimTime) {
-        self.now = deadline.max(self.now);
     }
 }
 
@@ -1076,11 +923,11 @@ mod tests {
             let pinger: &Pinger = sim.actor(client(1)).expect("pinger");
             *pinger.completion_times.last().expect("non-empty")
         };
-        let serial = run(1);
-        let parallel = run(8);
+        let one_core = run(1);
+        let eight_cores = run(8);
         assert!(
-            parallel < serial,
-            "8 cores {parallel:?} !< 1 core {serial:?}"
+            eight_cores < one_core,
+            "8 cores {eight_cores:?} !< 1 core {one_core:?}"
         );
     }
 

@@ -1,21 +1,13 @@
-//! The storage seam between [`crate::mvtso::MvtsoStore`] and the
-//! concurrency-safe [`crate::concurrent::ConcurrentMvtsoStore`].
+//! The storage seam `BasilReplica` is generic over.
 //!
-//! `BasilReplica` is generic over this trait: the simulator keeps the
-//! serial store (so every pinned determinism golden stays byte-identical),
-//! while the real-IO runtime can opt into the sharded concurrent store and
-//! fan independent St1/prepare work across an executor pool. The trait
-//! surface is exactly the set of store calls the replica state machine
-//! makes — nothing more — so both implementations stay honest about what
-//! the protocol actually needs.
-//!
-//! Methods take `&mut self` to match the serial store's natural signatures;
-//! the concurrent implementation ([`crate::concurrent::SharedStore`]) is
-//! internally synchronized and simply ignores the exclusivity. With the
-//! default type parameter (`BasilReplica<S = MvtsoStore>`) every call is
-//! statically dispatched and inlines exactly as before — the seam costs
-//! nothing on the serial path (bounded at ≤5% on `mvtso_prepare_commit` by
-//! the bench baseline).
+//! The replica state machine reaches its store only through [`TxStore`],
+//! whose surface is exactly the set of store calls the protocol makes. The
+//! seam's one reason to exist is instrumentation: a caller can substitute a
+//! store that wraps [`MvtsoStore`] and observes every call, as the
+//! wall-clock benchmark's `TracedStore` does to time each store operation
+//! from outside. With the default type parameter
+//! (`BasilReplica<S = MvtsoStore>`) every call is statically dispatched and
+//! inlines exactly as a direct call would.
 
 use crate::mvtso::{CheckOutcome, MvtsoStore, ReadResult, StoreStats, Vote};
 use crate::tx::Transaction;
@@ -24,7 +16,7 @@ use std::sync::Arc;
 
 /// The store operations a Basil replica performs (Algorithm 1 plus the
 /// decision/GC lifecycle). See the module docs for the design intent.
-pub trait TxStore: Send + 'static {
+pub trait TxStore: 'static {
     /// Creates a store preloaded with genesis versions at
     /// [`Timestamp::ZERO`].
     fn with_initial_data(data: impl IntoIterator<Item = (Key, Value)>) -> Self

@@ -102,14 +102,13 @@ fn amnesia_restart_converges_to_the_peers_committed_state() {
 }
 
 #[test]
-fn amnesia_recovery_is_identical_across_runtimes() {
+fn amnesia_recovery_replays_identically() {
     // The same crash + amnesia-restart schedule must produce bit-identical
-    // results on the serial engine and the thread-sharded runtime.
-    let run = |mode| {
+    // results when replayed: WAL replay and peer catch-up add no
+    // nondeterminism.
+    let run = || {
         let config = ClusterConfig::basil_default(CLIENTS)
-            .with_initial_data(vec![(Key::new(COUNTER), Value::from_u64(0))])
-            .with_runtime(mode)
-            .with_parallel_tuning(None, Some(0));
+            .with_initial_data(vec![(Key::new(COUNTER), Value::from_u64(0))]);
         let mut cluster = build_counter_cluster(config);
         let victim = ReplicaId::new(ShardId(0), 1);
         cluster.run_for(Duration::from_millis(40));
@@ -123,9 +122,9 @@ fn amnesia_recovery_is_identical_across_runtimes() {
             cluster.committed_history_digest(),
         )
     };
-    let serial = run(basil::cluster::RuntimeMode::Serial);
-    let parallel = run(basil::cluster::RuntimeMode::Parallel(2));
-    assert_eq!(serial, parallel, "serial vs Parallel(2) diverged");
+    let first = run();
+    let replay = run();
+    assert_eq!(first, replay, "replay diverged");
 }
 
 #[test]

@@ -44,9 +44,8 @@ fn run_scenario() -> BasilCluster {
 fn arc_refactor_preserves_simulated_results() {
     let cluster = run_scenario();
     let snap = cluster.snapshot();
-    // The canonical digest helper (SHA-256 over sorted committed ids) —
-    // shared with the parallel-runtime golden tests so the definition
-    // cannot drift between them.
+    // The canonical digest helper (SHA-256 over sorted committed ids),
+    // shared with the scenario runner so the definition cannot drift.
     let digest = cluster.committed_history_digest();
     eprintln!(
         "capture: committed={} aborted={} fast={} slow={} digest={digest}",
@@ -58,4 +57,29 @@ fn arc_refactor_preserves_simulated_results() {
     assert_eq!(snap.slow_path, EXPECTED_SLOW, "slow-path decisions");
     assert_eq!(digest, EXPECTED_HISTORY_DIGEST, "committed-history digest");
     cluster.audit().expect("history serializable");
+}
+
+/// Beyond the decisions: a replay reproduces the full simulator metrics
+/// (event counts, message counts, per-node CPU accounting), so the event
+/// trace itself repeats, not just its outcome.
+#[test]
+fn replay_reproduces_simulator_metrics() {
+    let first = run_scenario();
+    let replay = run_scenario();
+    let fm = first.sim().metrics();
+    let rm = replay.sim().metrics();
+    assert_eq!(rm.events_processed, fm.events_processed);
+    assert_eq!(rm.messages_sent, fm.messages_sent);
+    assert_eq!(rm.messages_delivered, fm.messages_delivered);
+    assert_eq!(rm.messages_dropped, fm.messages_dropped);
+    assert_eq!(rm.last_event_at, fm.last_event_at);
+    assert_eq!(rm.per_node.len(), fm.per_node.len());
+    for (id, fnode) in &fm.per_node {
+        let rnode = rm.per_node.get(id).expect("node present in the replay");
+        assert_eq!(rnode.messages_processed, fnode.messages_processed, "{id:?}");
+        assert_eq!(rnode.timers_fired, fnode.timers_fired, "{id:?}");
+        assert_eq!(rnode.cpu_busy, fnode.cpu_busy, "{id:?}");
+        assert_eq!(rnode.queue_wait, fnode.queue_wait, "{id:?}");
+        assert_eq!(rnode.messages_sent, fnode.messages_sent, "{id:?}");
+    }
 }

@@ -1,5 +1,5 @@
 //! The Figure 7 failure scenario as a declarative [`ScenarioSpec`], run
-//! under both runtimes.
+//! twice.
 //!
 //! Figure 7 measures Basil under Byzantine-client attacks; this test ports
 //! that scenario — a contended Zipfian workload with 30% equivocating
@@ -8,14 +8,11 @@
 //! partition that isolates another replica for part of the run. Where this
 //! test once hand-coded the phase schedule against the harness, the whole
 //! adversary is now *data*: one spec, compiled by `basil_scenario::runner`
-//! onto the simulator seam, executed once on `RuntimeMode::Serial` (the
-//! determinism oracle) and once on `RuntimeMode::Parallel(3)` with every
-//! epoch forced through the worker threads. The two runs must agree on
+//! onto the simulator seam and executed twice. The replay must agree on
 //! *every* decision: commit/abort counts, path split, fallback count, the
 //! digest of the committed set, and each replica's per-transaction
 //! decision digest.
 
-use basil::cluster::RuntimeMode;
 use basil_core::byzantine::ClientStrategy;
 use basil_scenario::runner::run_basil_spec;
 use basil_scenario::spec::{FaultBudget, FaultEvent, RecoveryMode, ScenarioSpec, WorkloadSpec};
@@ -73,31 +70,31 @@ fn fig7_spec() -> ScenarioSpec {
 }
 
 #[test]
-fn fig7_failure_scenario_is_identical_across_runtimes() {
+fn fig7_failure_scenario_replays_identically() {
     let spec = fig7_spec();
-    let serial = run_basil_spec(&spec, RuntimeMode::Serial);
-    let parallel = run_basil_spec(&spec, RuntimeMode::Parallel(3));
+    let serial = run_basil_spec(&spec);
+    let replay = run_basil_spec(&spec);
 
-    assert_eq!(parallel.committed, serial.committed, "committed");
+    assert_eq!(replay.committed, serial.committed, "committed");
     assert_eq!(
-        parallel.aborted_attempts, serial.aborted_attempts,
+        replay.aborted_attempts, serial.aborted_attempts,
         "aborted attempts"
     );
-    assert_eq!(parallel.fast_path, serial.fast_path, "fast-path decisions");
-    assert_eq!(parallel.slow_path, serial.slow_path, "slow-path decisions");
-    assert_eq!(parallel.fallbacks, serial.fallbacks, "fallback invocations");
+    assert_eq!(replay.fast_path, serial.fast_path, "fast-path decisions");
+    assert_eq!(replay.slow_path, serial.slow_path, "slow-path decisions");
+    assert_eq!(replay.fallbacks, serial.fallbacks, "fallback invocations");
     assert_eq!(
-        parallel.byz_committed, serial.byz_committed,
+        replay.byz_committed, serial.byz_committed,
         "byzantine commits"
     );
-    assert_eq!(parallel.digest, serial.digest, "committed-set digest");
+    assert_eq!(replay.digest, serial.digest, "committed-set digest");
     assert_eq!(
-        parallel.decisions_digest, serial.decisions_digest,
+        replay.decisions_digest, serial.decisions_digest,
         "per-replica decisions"
     );
     assert!(
-        !serial.diverges_from(&parallel),
-        "runtimes agree on every compared field"
+        !serial.diverges_from(&replay),
+        "replays agree on every compared field"
     );
 
     // The scenario is meaningful: work committed in every phase, the crash
@@ -115,9 +112,5 @@ fn fig7_failure_scenario_is_identical_across_runtimes() {
         serial.messages_dropped > 0,
         "crash/partition actually dropped messages"
     );
-    assert_eq!(serial.audit_failure, None, "serial history serializable");
-    assert_eq!(
-        parallel.audit_failure, None,
-        "parallel history serializable"
-    );
+    assert_eq!(serial.audit_failure, None, "history serializable");
 }

@@ -1,8 +1,8 @@
 //! Seed-corpus regression test: every committed scenario under
-//! `tests/corpus/*.ron` is replayed on each `cargo test`, on the serial
-//! runtime *and* on `Parallel(2)`, and must reproduce its pinned outcome
-//! exactly — commit/abort counts, Byzantine commits, and the digest of the
-//! committed transaction set. The corpus holds minimized specs worth
+//! `tests/corpus/*.ron` is replayed twice on each `cargo test`; the two
+//! replays must agree on every decision, and must reproduce the entry's
+//! pinned outcome exactly — commit/abort counts, Byzantine commits, and the
+//! digest of the committed transaction set. The corpus holds minimized specs worth
 //! keeping forever: once a fuzz failure is fixed, its shrunk spec lands
 //! here so the schedule that found the bug is re-run for the rest of the
 //! repository's life.
@@ -16,7 +16,6 @@
 //! prints the freshly computed `expect` block for every entry instead of
 //! asserting, ready to paste into the corpus file.
 
-use basil::cluster::RuntimeMode;
 use basil_scenario::ron;
 use basil_scenario::runner::run_basil_spec;
 use std::path::PathBuf;
@@ -38,7 +37,7 @@ fn corpus_files() -> Vec<PathBuf> {
 }
 
 #[test]
-fn corpus_replays_match_pinned_outcomes_on_both_runtimes() {
+fn corpus_replays_match_pinned_outcomes() {
     let pin = std::env::var("BASIL_CORPUS_PIN").is_ok();
     for path in corpus_files() {
         let name = path.file_name().unwrap().to_string_lossy().to_string();
@@ -47,11 +46,11 @@ fn corpus_replays_match_pinned_outcomes_on_both_runtimes() {
         spec.validate()
             .unwrap_or_else(|e| panic!("{name}: invalid spec: {e}"));
 
-        let serial = run_basil_spec(&spec, RuntimeMode::Serial);
-        let parallel = run_basil_spec(&spec, RuntimeMode::Parallel(2));
+        let outcome = run_basil_spec(&spec);
+        let replay = run_basil_spec(&spec);
         assert!(
-            !serial.diverges_from(&parallel),
-            "{name}: serial and parallel runs disagree:\n{serial:#?}\nvs\n{parallel:#?}"
+            !outcome.diverges_from(&replay),
+            "{name}: two replays disagree:\n{outcome:#?}\nvs\n{replay:#?}"
         );
         if pin {
             println!(
@@ -59,40 +58,43 @@ fn corpus_replays_match_pinned_outcomes_on_both_runtimes() {
                  expect: Some((\n        committed: {},\n        \
                  aborted_attempts: {},\n        byz_committed: {},\n        \
                  digest: \"{}\",\n    )),",
-                serial.check(&spec),
-                serial.tail_committed,
-                serial.messages_dropped,
-                serial.messages_corrupted,
-                serial.messages_replayed,
-                serial.committed,
-                serial.aborted_attempts,
-                serial.byz_committed,
-                serial.digest
+                outcome.check(&spec),
+                outcome.tail_committed,
+                outcome.messages_dropped,
+                outcome.messages_corrupted,
+                outcome.messages_replayed,
+                outcome.committed,
+                outcome.aborted_attempts,
+                outcome.byz_committed,
+                outcome.digest
             );
             continue;
         }
 
         assert_eq!(
-            serial.check(&spec),
+            outcome.check(&spec),
             None,
             "{name}: scenario checks failed: {:?}",
-            serial.audit_failure
+            outcome.audit_failure
         );
 
         let expect = spec
             .expect
             .as_ref()
             .unwrap_or_else(|| panic!("{name}: corpus entries must pin an expect block"));
-        assert_eq!(serial.committed, expect.committed, "{name}: committed");
+        assert_eq!(outcome.committed, expect.committed, "{name}: committed");
         assert_eq!(
-            serial.aborted_attempts, expect.aborted_attempts,
+            outcome.aborted_attempts, expect.aborted_attempts,
             "{name}: aborted_attempts"
         );
         assert_eq!(
-            serial.byz_committed, expect.byz_committed,
+            outcome.byz_committed, expect.byz_committed,
             "{name}: byz_committed"
         );
-        assert_eq!(serial.digest, expect.digest, "{name}: committed-set digest");
+        assert_eq!(
+            outcome.digest, expect.digest,
+            "{name}: committed-set digest"
+        );
     }
 }
 
