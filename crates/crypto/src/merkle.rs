@@ -26,6 +26,17 @@ pub fn node_hash(left: &Digest, right: &Digest) -> Digest {
     Sha256::digest_parts(&[NODE_PREFIX, left.as_bytes(), right.as_bytes()])
 }
 
+/// One step of root recomputation: the parent of the node at index `idx`
+/// of its level, whose digest is `current`, given its sibling (`None` for an
+/// odd tail, which is promoted unchanged).
+pub(crate) fn climb(current: Digest, sibling: Option<&Digest>, idx: usize) -> Digest {
+    match sibling {
+        Some(s) if idx.is_multiple_of(2) => node_hash(&current, s),
+        Some(s) => node_hash(s, &current),
+        None => current,
+    }
+}
+
 /// A Merkle tree over a batch of leaf payloads.
 ///
 /// The tree keeps every level so inclusion proofs can be extracted for any
@@ -288,12 +299,7 @@ impl MerkleProof {
         let mut current = leaf;
         let mut idx = self.leaf_index;
         for sibling in &self.siblings {
-            current = match sibling {
-                Some(s) if idx.is_multiple_of(2) => node_hash(&current, s),
-                Some(s) => node_hash(s, &current),
-                // Odd tail: node promoted unchanged.
-                None => current,
-            };
+            current = climb(current, sibling.as_ref(), idx);
             idx /= 2;
         }
         current

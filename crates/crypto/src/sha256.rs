@@ -69,6 +69,27 @@ impl Sha256 {
         h.finalize()
     }
 
+    /// Resumes hashing from a midstate: `state` after absorbing `absorbed`
+    /// bytes, a multiple of the 64-byte block size. HMAC keys keep their
+    /// padded-key midstates this way (see [`crate::hmac::HmacKey`]).
+    pub(crate) fn resume(state: [u32; 8], absorbed: u64) -> Self {
+        debug_assert_eq!(absorbed % 64, 0, "a midstate ends on a block boundary");
+        Sha256 {
+            state,
+            len: absorbed,
+            buf: [0; 64],
+            buf_len: 0,
+        }
+    }
+
+    /// The chaining state after the whole blocks absorbed so far; with
+    /// [`Sha256::resume`] it reproduces this hasher when no partial block is
+    /// buffered.
+    pub(crate) fn midstate(&self) -> [u32; 8] {
+        debug_assert_eq!(self.buf_len, 0, "a midstate ends on a block boundary");
+        self.state
+    }
+
     /// Feeds more data into the hasher.
     pub fn update(&mut self, mut data: &[u8]) {
         self.len = self.len.wrapping_add(data.len() as u64);
@@ -100,13 +121,20 @@ impl Sha256 {
     /// Completes the hash and returns the digest.
     pub fn finalize(mut self) -> Digest {
         let bit_len = self.len.wrapping_mul(8);
-        // Append 0x80, then zeros, then the 64-bit big-endian bit length.
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
+        // Append 0x80, then zeros, then the 64-bit big-endian bit length,
+        // padding the buffered block in place. A tail of more than 55 bytes
+        // leaves no room for the length: it takes one extra block.
+        let mut end = self.buf_len;
+        self.buf[end] = 0x80;
+        end += 1;
+        if end > 56 {
+            self.buf[end..].fill(0);
+            let block = self.buf;
+            self.compress(&block);
+            end = 0;
         }
-        // Manually place the length to avoid updating `len` again.
-        self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
+        self.buf[end..56].fill(0);
+        self.buf[56..].copy_from_slice(&bit_len.to_be_bytes());
         let block = self.buf;
         self.compress(&block);
 
@@ -228,6 +256,43 @@ ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu"
             }
             assert_eq!(h.finalize(), Sha256::digest(&data), "chunk={chunk}");
         }
+    }
+
+    /// Every padding case: tails that fit beside the length (0..=55 bytes
+    /// mod 64), tails that spill into an extra block (56..=63), and whole
+    /// blocks, each hashed in one shot, byte by byte and in 7-byte chunks.
+    #[test]
+    fn padding_matches_across_feed_patterns_for_lengths_0_through_130() {
+        let data: Vec<u8> = (0..130u32).map(|i| (i * 31 + 7) as u8).collect();
+        for len in 0..=130 {
+            let msg = &data[..len];
+            let one_shot = Sha256::digest(msg);
+            let mut bytewise = Sha256::new();
+            for b in msg {
+                bytewise.update(std::slice::from_ref(b));
+            }
+            let mut chunked = Sha256::new();
+            for c in msg.chunks(7) {
+                chunked.update(c);
+            }
+            assert_eq!(bytewise.finalize(), one_shot, "byte-at-a-time, len={len}");
+            assert_eq!(chunked.finalize(), one_shot, "7-byte chunks, len={len}");
+        }
+        // Pin one digest per padding regime so a padding bug that all three
+        // feeds share cannot pass: 55 bytes (length fits), 56 bytes (extra
+        // block), 64 bytes (whole block).
+        assert_eq!(
+            hex(&Sha256::digest(&[b'a'; 55])),
+            "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318"
+        );
+        assert_eq!(
+            hex(&Sha256::digest(&[b'a'; 56])),
+            "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a"
+        );
+        assert_eq!(
+            hex(&Sha256::digest(&[b'a'; 64])),
+            "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb"
+        );
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! [`crate::cost::CostModel`], using published ed25519 latencies.
 
 use crate::digest::Digest;
-use crate::hmac::hmac_sha256_parts;
+use crate::hmac::HmacKey;
 use basil_common::{FastHashMap, NodeId};
 use std::fmt;
 use std::sync::Arc;
@@ -34,11 +34,11 @@ impl fmt::Debug for Signature {
     }
 }
 
-/// A node's signing key.
+/// A node's signing key, held as its precomputed HMAC midstates.
 #[derive(Clone)]
 pub struct KeyPair {
     node: NodeId,
-    secret: [u8; 32],
+    key: HmacKey,
 }
 
 impl KeyPair {
@@ -51,7 +51,7 @@ impl KeyPair {
     pub fn sign_parts(&self, parts: &[&[u8]]) -> Signature {
         Signature {
             signer: self.node,
-            tag: hmac_sha256_parts(&self.secret, parts),
+            tag: self.key.mac_parts(parts),
         }
     }
 
@@ -79,12 +79,14 @@ pub struct KeyRegistry {
 }
 
 struct RegistryInner {
-    master_seed: [u8; 32],
+    /// The master seed as an HMAC key, so deriving a node's secret costs
+    /// two compressions and the node's own key schedule two more.
+    master: HmacKey,
     /// Verification keys derived once at deployment build time. Plain
     /// immutable map after construction. Nodes not listed here fall back
-    /// to on-the-fly derivation (two extra SHA-256 passes per
+    /// to on-the-fly derivation (four extra SHA-256 compressions per
     /// verification — the cost the precomputation removes).
-    precomputed: FastHashMap<NodeId, [u8; 32]>,
+    precomputed: FastHashMap<NodeId, HmacKey>,
 }
 
 impl KeyRegistry {
@@ -103,14 +105,14 @@ impl KeyRegistry {
         let mut master_seed = [0u8; 32];
         master_seed[..8].copy_from_slice(&seed.to_be_bytes());
         let mut inner = RegistryInner {
-            master_seed,
+            master: HmacKey::new(&master_seed),
             precomputed: FastHashMap::default(),
         };
-        let secrets: FastHashMap<NodeId, [u8; 32]> = nodes
+        let keys: FastHashMap<NodeId, HmacKey> = nodes
             .into_iter()
-            .map(|n| (n, inner.derive_secret(n)))
+            .map(|n| (n, inner.derive_key(n)))
             .collect();
-        inner.precomputed = secrets;
+        inner.precomputed = keys;
         KeyRegistry {
             inner: Arc::new(inner),
         }
@@ -125,7 +127,7 @@ impl KeyRegistry {
     pub fn keypair(&self, node: NodeId) -> KeyPair {
         KeyPair {
             node,
-            secret: self.node_secret(node),
+            key: self.node_key(node),
         }
     }
 
@@ -136,7 +138,7 @@ impl KeyRegistry {
 
     /// Verifies a signature over the concatenation of several message parts.
     pub fn verify_parts(&self, parts: &[&[u8]], sig: &Signature) -> bool {
-        let expected = hmac_sha256_parts(&self.node_secret(sig.signer), parts);
+        let expected = self.node_key(sig.signer).mac_parts(parts);
         // Constant-time comparison is unnecessary in a simulation, but cheap.
         let mut diff = 0u8;
         for (a, b) in expected.as_bytes().iter().zip(sig.tag.as_bytes()) {
@@ -145,19 +147,20 @@ impl KeyRegistry {
         diff == 0
     }
 
-    fn node_secret(&self, node: NodeId) -> [u8; 32] {
-        if let Some(secret) = self.inner.precomputed.get(&node) {
-            return *secret;
+    fn node_key(&self, node: NodeId) -> HmacKey {
+        match self.inner.precomputed.get(&node) {
+            Some(key) => *key,
+            None => self.inner.derive_key(node),
         }
-        self.inner.derive_secret(node)
     }
 }
 
 impl RegistryInner {
-    fn derive_secret(&self, node: NodeId) -> [u8; 32] {
-        let encoding = encode_node(node);
-        let tag = hmac_sha256_parts(&self.master_seed, &[&encoding]);
-        *tag.as_bytes()
+    /// A node's secret is `HMAC(master_seed, encode_node(node))`; its key is
+    /// that secret's HMAC key schedule.
+    fn derive_key(&self, node: NodeId) -> HmacKey {
+        let secret = self.master.mac_parts(&[&encode_node(node)]);
+        HmacKey::new(secret.as_bytes())
     }
 }
 
@@ -220,6 +223,24 @@ mod tests {
         let other = client(99);
         let sig = pre.keypair(other).sign(b"msg");
         assert!(pre.verify(b"msg", &sig));
+    }
+
+    /// The precomputed midstates change no tag byte: a signature equals the
+    /// reference HMAC under the secret `HMAC(master_seed, encode_node)`.
+    #[test]
+    fn tags_match_the_reference_key_derivation() {
+        use crate::hmac::hmac_sha256_parts;
+        let mut master_seed = [0u8; 32];
+        master_seed[..8].copy_from_slice(&42u64.to_be_bytes());
+        let reg = KeyRegistry::from_seed_with_nodes(42, [replica(0, 1)]);
+        for node in [replica(0, 1), client(7)] {
+            let secret = hmac_sha256_parts(&master_seed, &[&encode_node(node)]);
+            let sig = reg.keypair(node).sign_parts(&[b"root", b" bytes"]);
+            assert_eq!(
+                sig.tag,
+                hmac_sha256_parts(secret.as_bytes(), &[b"root bytes"])
+            );
+        }
     }
 
     #[test]
